@@ -17,13 +17,9 @@ import (
 // body is byte-identical to the snapshot's precomputed payload, a
 // revalidation with the returned ETag must come back 304 and bodiless,
 // the health and metrics endpoints must answer, and a same-input hot
-// reload must swap without changing a single response byte. When the
-// daemon is sharded, snap is still the *monolithic* snapshot the shards
-// were partitioned from, so the probe doubles as the shard-equivalence
-// gate: scatter-gather serving must be indistinguishable, byte for byte,
-// from the unsharded oracle. CI runs this at shard counts 1 and 4 — no
-// fixed port, no golden files on disk, the snapshot itself is the oracle.
-func runSelfcheck(srv *serve.Server, snap *serve.Snapshot, shards int) error {
+// reload must swap without changing a single response byte. No fixed
+// port, no golden files on disk: the snapshot itself is the oracle.
+func runSelfcheck(srv *serve.Server, snap *serve.Snapshot) error {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err
@@ -33,7 +29,7 @@ func runSelfcheck(srv *serve.Server, snap *serve.Snapshot, shards int) error {
 	go hs.Serve(ln)
 	defer hs.Close()
 	base := "http://" + ln.Addr().String()
-	fmt.Fprintf(os.Stderr, "gammad: selfcheck probing %s (%d shard(s))\n", base, shards)
+	fmt.Fprintf(os.Stderr, "gammad: selfcheck probing %s\n", base)
 
 	probe := func() error {
 		for _, path := range append([]string{"/healthz"}, snap.Endpoints()...) {
@@ -79,8 +75,7 @@ func runSelfcheck(srv *serve.Server, snap *serve.Snapshot, shards int) error {
 
 	// Hot reload with the same inputs: must swap (Swapped=true) and keep
 	// every body byte-identical, proving /v1 responses are a pure
-	// function of the corpus. Sharded daemons re-partition on install, so
-	// this also exercises the staggered per-shard swap path end to end.
+	// function of the corpus.
 	resp, err := http.Post(base+"/admin/reload", "", nil)
 	if err != nil {
 		return fmt.Errorf("selfcheck reload: %w", err)
@@ -105,8 +100,9 @@ func runSelfcheck(srv *serve.Server, snap *serve.Snapshot, shards int) error {
 	}
 
 	// History probe: the ring must now hold both generations with the
-	// reloaded one live, and the original must stay readable through a
-	// ?snapshot= time-travel read, byte-identical to the oracle.
+	// reloaded one live under its own id, and the original must stay
+	// readable through a ?snapshot= time-travel read, byte-identical to
+	// the oracle and answered by the original generation itself.
 	var sp serve.SnapshotsPayload
 	resp, err = http.Get(base + "/v1/snapshots")
 	if err != nil {
@@ -120,7 +116,11 @@ func runSelfcheck(srv *serve.Server, snap *serve.Snapshot, shards int) error {
 	if sp.Count != 2 || len(sp.Snapshots) != 2 || !sp.Snapshots[0].Live || sp.Snapshots[1].Live {
 		return fmt.Errorf("selfcheck snapshots: count=%d, rows=%d", sp.Count, len(sp.Snapshots))
 	}
-	histID := sp.Snapshots[1].ID
+	liveID, histID := sp.Snapshots[0].ID, sp.Snapshots[1].ID
+	if histID != snap.Meta().ID || liveID == histID {
+		return fmt.Errorf("selfcheck snapshots: live %q, historical %q; want a distinct live id over %q",
+			liveID, histID, snap.Meta().ID)
+	}
 	resp, err = http.Get(base + "/v1/countries?snapshot=" + histID)
 	if err != nil {
 		return fmt.Errorf("selfcheck historical read: %w", err)
@@ -129,6 +129,9 @@ func runSelfcheck(srv *serve.Server, snap *serve.Snapshot, shards int) error {
 	resp.Body.Close()
 	if err != nil || resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("selfcheck historical read = %d: %v", resp.StatusCode, err)
+	}
+	if got := resp.Header.Get("X-Gamma-Snapshot"); got != histID {
+		return fmt.Errorf("selfcheck historical read: ?snapshot=%s answered by generation %q", histID, got)
 	}
 	if want, _ := snap.Body("/v1/countries"); !bytes.Equal(histBody, want) {
 		return fmt.Errorf("selfcheck historical read: ?snapshot=%s body differs from the original generation", histID)
@@ -174,32 +177,8 @@ func runSelfcheck(srv *serve.Server, snap *serve.Snapshot, shards int) error {
 	if mp.Swaps != 2 || mp.Panics != 0 {
 		return fmt.Errorf("selfcheck metrics: swaps=%d panics=%d", mp.Swaps, mp.Panics)
 	}
-	if mp.Rollbacks != 1 || mp.Degraded != 0 || mp.Unavailable != 0 {
-		return fmt.Errorf("selfcheck metrics: rollbacks=%d degraded=%d unavailable=%d",
-			mp.Rollbacks, mp.Degraded, mp.Unavailable)
-	}
-	if shards > 1 {
-		if len(mp.Shards) != shards {
-			return fmt.Errorf("selfcheck metrics: %d shard rows, want %d", len(mp.Shards), shards)
-		}
-		countries, trackers := 0, 0
-		for _, row := range mp.Shards {
-			if row.Swaps != 2 {
-				return fmt.Errorf("selfcheck metrics: shard %d swaps=%d, want 2", row.Shard, row.Swaps)
-			}
-			if row.Breaker != "closed" || row.Trips != 0 {
-				return fmt.Errorf("selfcheck metrics: shard %d breaker=%s trips=%d, want closed/0",
-					row.Shard, row.Breaker, row.Trips)
-			}
-			countries += row.Countries
-			trackers += row.Trackers
-		}
-		if countries != len(snap.CountryCodes()) || trackers != len(snap.TrackerDomains()) {
-			return fmt.Errorf("selfcheck metrics: shards cover %d countries / %d trackers, want %d / %d",
-				countries, trackers, len(snap.CountryCodes()), len(snap.TrackerDomains()))
-		}
-	} else if len(mp.Shards) != 0 {
-		return fmt.Errorf("selfcheck metrics: monolithic daemon reported %d shard rows", len(mp.Shards))
+	if mp.Rollbacks != 1 {
+		return fmt.Errorf("selfcheck metrics: rollbacks=%d, want 1", mp.Rollbacks)
 	}
 	fmt.Fprintln(os.Stderr, "gammad: selfcheck OK (probed three times across a live reload and rollback, zero drift)")
 	return nil

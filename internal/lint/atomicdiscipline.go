@@ -84,7 +84,7 @@ func isCopyRead(expr ast.Expr) bool {
 
 // checkAtomicDiscipline is a stricter, typed copylocks scoped to the
 // module's atomics-based concurrency style: values whose type carries a
-// sync/atomic field (Store.cur, ShardSet counters, metrics histograms) or
+// sync/atomic field (Store.cur, Store.swaps, metrics histograms) or
 // a sync lock must move by pointer only. It flags by-value receivers,
 // parameters and results; assignments and range clauses that copy a live
 // value; call arguments passed by value; and atomic fields whose address

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -54,41 +53,6 @@ func BenchmarkServeQueries(b *testing.B) {
 	})
 }
 
-// BenchmarkServeQueriesSharded measures the same hot paths through a
-// ShardSet at representative shard counts. Single-key routes add one
-// FNV hash and an extra pointer load over the monolith; listings serve
-// the pre-merged view, so their cost must not scale with shard count.
-func BenchmarkServeQueriesSharded(b *testing.B) {
-	snap := buildTestSnapshot(b, 0, "bench")
-	for _, n := range []int{1, 4} {
-		set, err := NewShardSet(snap, n)
-		if err != nil {
-			b.Fatal(err)
-		}
-		srv := NewSharded(set, Options{Clock: sched.NewFakeClock(time.Unix(1700000000, 0))})
-		for _, path := range []string{
-			"/v1/countries",
-			"/v1/countries/aa",
-			"/v1/trackers/ads.tracker-x.example",
-			"/v1/flows",
-			"/v1/figures/fig5",
-		} {
-			b.Run(fmt.Sprintf("shards=%d%s", n, path), func(b *testing.B) {
-				w := &nopResponseWriter{h: make(http.Header)}
-				r := httptest.NewRequest(http.MethodGet, path, nil)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					srv.ServeHTTP(w, r)
-				}
-				if w.status != http.StatusOK {
-					b.Fatalf("status %d", w.status)
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkSnapshotBuild measures the cold path a reload pays: indexing
 // and encoding every payload from an analyzed corpus.
 func BenchmarkSnapshotBuild(b *testing.B) {
@@ -138,39 +102,5 @@ func BenchmarkSwapUnderLoad(b *testing.B) {
 		if err := st.Install(next); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkScatterGatherDegraded measures the degraded listing path: one
-// shard's circuit held open, so every listing request re-probes the set,
-// hits the memoized surviving-shards merge, and writes the marked
-// response. This is the cold path by design — the number to watch is
-// that it stays within an order of magnitude of the healthy premerged
-// serve, since a degraded cluster still has to ride out its load.
-func BenchmarkScatterGatherDegraded(b *testing.B) {
-	snap := buildTestSnapshot(b, 0, "bench")
-	clock := sched.NewFakeClock(time.Unix(1700000000, 0))
-	set, err := NewShardSetWithOptions(snap, 4, ShardSetOptions{
-		Clock:   clock,
-		Breaker: sched.BreakerConfig{FailureThreshold: 1, Cooldown: time.Hour},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv := NewSharded(set, Options{Clock: clock})
-	(&set.breakers[shardOf("AA", 4)]).Failure(clock)
-	for _, path := range []string{"/v1/countries", "/v1/trackers", "/v1/figures"} {
-		b.Run(path, func(b *testing.B) {
-			w := &nopResponseWriter{h: make(http.Header)}
-			r := httptest.NewRequest(http.MethodGet, path, nil)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				srv.ServeHTTP(w, r)
-			}
-			if w.status != http.StatusOK {
-				b.Fatalf("status %d", w.status)
-			}
-		})
 	}
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -53,116 +54,89 @@ func TestEtagForIsStableAndQuoted(t *testing.T) {
 }
 
 // TestConditionalRequests drives the If-None-Match contract through the
-// full HTTP path against both backends: a matching validator elides the
-// body with a 304 (ETag still present, so the client's cache entry stays
-// addressable), a stale or malformed one serves the full 200.
+// full HTTP path: a matching validator elides the body with a 304 (ETag
+// still present, so the client's cache entry stays addressable), a stale
+// or malformed one serves the full 200.
 func TestConditionalRequests(t *testing.T) {
 	snap := buildTestSnapshot(t, 0, "cond")
-	backends := map[string]*Server{}
 	srv, _ := newTestServer(t, snap, Options{})
-	backends["monolith"] = srv
-	srv4, _ := newTestShardServer(t, snap, 4, Options{})
-	backends["sharded-4"] = srv4
+	for _, path := range []string{"/v1/countries", "/v1/countries/aa", "/v1/trackers",
+		"/v1/trackers/ads.tracker-x.example", "/v1/flows", "/v1/figures", "/v1/figures/fig5", "/healthz"} {
+		first := get(t, srv, path)
+		if first.Code != http.StatusOK {
+			t.Fatalf("GET %s = %d", path, first.Code)
+		}
+		etag := first.Header().Get("Etag")
+		if len(etag) != 18 || etag[0] != '"' {
+			t.Fatalf("GET %s served entity tag %q", path, etag)
+		}
 
-	for name, srv := range backends {
-		for _, path := range []string{"/v1/countries", "/v1/countries/aa", "/v1/trackers",
-			"/v1/trackers/ads.tracker-x.example", "/v1/flows", "/v1/figures", "/v1/figures/fig5", "/healthz"} {
-			first := get(t, srv, path)
-			if first.Code != http.StatusOK {
-				t.Fatalf("%s: GET %s = %d", name, path, first.Code)
+		cases := []struct {
+			validator  string
+			wantStatus int
+		}{
+			{etag, http.StatusNotModified},
+			{"W/" + etag, http.StatusNotModified},
+			{"*", http.StatusNotModified},
+			{`"stale-validator", ` + etag, http.StatusNotModified},
+			{`"stale-validator"`, http.StatusOK},
+			{"unquoted-garbage", http.StatusOK},
+			{"", http.StatusOK},
+		}
+		for _, tc := range cases {
+			req := httptest.NewRequest(http.MethodGet, path, nil)
+			if tc.validator != "" {
+				req.Header.Set("If-None-Match", tc.validator)
 			}
-			etag := first.Header().Get("Etag")
-			if len(etag) != 18 || etag[0] != '"' {
-				t.Fatalf("%s: GET %s served entity tag %q", name, path, etag)
-			}
-
-			cases := []struct {
-				validator  string
-				wantStatus int
-			}{
-				{etag, http.StatusNotModified},
-				{"W/" + etag, http.StatusNotModified},
-				{"*", http.StatusNotModified},
-				{`"stale-validator", ` + etag, http.StatusNotModified},
-				{`"stale-validator"`, http.StatusOK},
-				{"unquoted-garbage", http.StatusOK},
-				{"", http.StatusOK},
-			}
-			for _, tc := range cases {
-				req := httptest.NewRequest(http.MethodGet, path, nil)
-				if tc.validator != "" {
-					req.Header.Set("If-None-Match", tc.validator)
-				}
-				rec := httptest.NewRecorder()
-				srv.ServeHTTP(rec, req)
-				if rec.Code != tc.wantStatus {
-					t.Errorf("%s: GET %s If-None-Match %q = %d, want %d",
-						name, path, tc.validator, rec.Code, tc.wantStatus)
-					continue
-				}
-				switch tc.wantStatus {
-				case http.StatusNotModified:
-					if rec.Body.Len() != 0 {
-						t.Errorf("%s: 304 for %s carried %d body bytes", name, path, rec.Body.Len())
-					}
-					if got := rec.Header().Get("Etag"); got != etag {
-						t.Errorf("%s: 304 for %s served entity tag %q, want %q", name, path, got, etag)
-					}
-				case http.StatusOK:
-					if !equalBytes(rec.Body.Bytes(), first.Body.Bytes()) {
-						t.Errorf("%s: stale revalidation of %s served different bytes", name, path)
-					}
-				}
-			}
-
-			// HEAD revalidation follows the same conditional logic.
-			req := httptest.NewRequest(http.MethodHead, path, nil)
-			req.Header.Set("If-None-Match", etag)
 			rec := httptest.NewRecorder()
 			srv.ServeHTTP(rec, req)
-			if rec.Code != http.StatusNotModified || rec.Body.Len() != 0 {
-				t.Errorf("%s: HEAD %s revalidation = %d (%d body bytes)", name, path, rec.Code, rec.Body.Len())
+			if rec.Code != tc.wantStatus {
+				t.Errorf("GET %s If-None-Match %q = %d, want %d", path, tc.validator, rec.Code, tc.wantStatus)
+				continue
+			}
+			switch tc.wantStatus {
+			case http.StatusNotModified:
+				if rec.Body.Len() != 0 {
+					t.Errorf("304 for %s carried %d body bytes", path, rec.Body.Len())
+				}
+				if got := rec.Header().Get("Etag"); got != etag {
+					t.Errorf("304 for %s served entity tag %q, want %q", path, got, etag)
+				}
+			case http.StatusOK:
+				if !bytes.Equal(rec.Body.Bytes(), first.Body.Bytes()) {
+					t.Errorf("stale revalidation of %s served different bytes", path)
+				}
 			}
 		}
-	}
-}
 
-func equalBytes(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+		// HEAD revalidation follows the same conditional logic.
+		req := httptest.NewRequest(http.MethodHead, path, nil)
+		req.Header.Set("If-None-Match", etag)
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		if rec.Code != http.StatusNotModified || rec.Body.Len() != 0 {
+			t.Errorf("HEAD %s revalidation = %d (%d body bytes)", path, rec.Code, rec.Body.Len())
 		}
 	}
-	return true
 }
 
-// TestEtagStableAcrossRebuildsAndShardCounts pins the cache-validity
-// story: the entity tag is a pure function of the body bytes, so a
-// same-corpus rebuild — monolithic or sharded, any shard count — serves
-// the same tag, while a different corpus variant moves it.
-func TestEtagStableAcrossRebuildsAndShardCounts(t *testing.T) {
+// TestEtagStableAcrossRebuilds pins the cache-validity story: the entity
+// tag is a pure function of the body bytes, so a same-corpus rebuild
+// serves the same tag, while a different corpus variant moves it.
+func TestEtagStableAcrossRebuilds(t *testing.T) {
 	snapA1 := buildTestSnapshot(t, 0, "A1")
 	snapA2 := buildTestSnapshot(t, 0, "A2") // same corpus, new build
 	snapB := buildTestSnapshot(t, 1, "B")   // different corpus
-	set := newTestShardSet(t, snapA1, 4)
 
 	for _, path := range snapA1.Endpoints() {
 		ep, arg := route(path)
 		pl1, ok1 := snapA1.payloadFor(ep, arg)
 		pl2, ok2 := snapA2.payloadFor(ep, arg)
-		lkS := set.get(ep, arg)
-		plS := lkS.pl
-		if !ok1 || !ok2 || lkS.code != lookupOK {
-			t.Fatalf("%s did not resolve everywhere", path)
+		if !ok1 || !ok2 {
+			t.Fatalf("%s did not resolve in both builds", path)
 		}
 		if pl1.etag[0] != pl2.etag[0] {
 			t.Errorf("%s: entity tag moved across a same-corpus rebuild", path)
-		}
-		if pl1.etag[0] != plS.etag[0] {
-			t.Errorf("%s: entity tag differs between monolithic and sharded builds", path)
 		}
 	}
 
@@ -180,32 +154,26 @@ func TestEtagStableAcrossRebuildsAndShardCounts(t *testing.T) {
 
 // TestConditionalRevalidationZeroAllocs extends the zero-allocation
 // contract to the 304 path: an If-None-Match hit writes preallocated
-// headers and no body, allocating nothing — on both backends.
+// headers and no body, allocating nothing.
 func TestConditionalRevalidationZeroAllocs(t *testing.T) {
 	snap := buildTestSnapshot(t, 0, "cond-alloc")
-	backends := map[string]*Server{}
 	srv, _ := newTestServer(t, snap, Options{})
-	backends["monolith"] = srv
-	srv4, _ := newTestShardServer(t, snap, 4, Options{})
-	backends["sharded-4"] = srv4
-	for name, srv := range backends {
-		for _, path := range []string{"/v1/countries", "/v1/countries/aa", "/v1/trackers/ads.tracker-x.example", "/v1/flows"} {
-			first := get(t, srv, path)
-			etag := first.Header().Get("Etag")
-			if first.Code != http.StatusOK || etag == "" {
-				t.Fatalf("%s: GET %s = %d, etag %q", name, path, first.Code, etag)
-			}
-			w := &nopResponseWriter{h: make(http.Header)}
-			r := httptest.NewRequest(http.MethodGet, path, nil)
-			r.Header["If-None-Match"] = []string{etag}
-			if allocs := testing.AllocsPerRun(200, func() {
-				srv.ServeHTTP(w, r)
-			}); allocs != 0 {
-				t.Errorf("%s: revalidating %s allocates %.1f times per request, want 0", name, path, allocs)
-			}
-			if w.status != http.StatusNotModified || w.n != 0 {
-				t.Errorf("%s: revalidation of %s = %d (%d body bytes)", name, path, w.status, w.n)
-			}
+	for _, path := range []string{"/v1/countries", "/v1/countries/aa", "/v1/trackers/ads.tracker-x.example", "/v1/flows"} {
+		first := get(t, srv, path)
+		etag := first.Header().Get("Etag")
+		if first.Code != http.StatusOK || etag == "" {
+			t.Fatalf("GET %s = %d, etag %q", path, first.Code, etag)
+		}
+		w := &nopResponseWriter{h: make(http.Header)}
+		r := httptest.NewRequest(http.MethodGet, path, nil)
+		r.Header["If-None-Match"] = []string{etag}
+		if allocs := testing.AllocsPerRun(200, func() {
+			srv.ServeHTTP(w, r)
+		}); allocs != 0 {
+			t.Errorf("revalidating %s allocates %.1f times per request, want 0", path, allocs)
+		}
+		if w.status != http.StatusNotModified || w.n != 0 {
+			t.Errorf("revalidation of %s = %d (%d body bytes)", path, w.status, w.n)
 		}
 	}
 }

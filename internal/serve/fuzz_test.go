@@ -74,58 +74,3 @@ func FuzzRoutePath(f *testing.F) {
 		}
 	})
 }
-
-// FuzzPartition is the partition function's totality proof: for
-// arbitrary key bytes and any admissible shard count, shardOf never
-// panics, always lands in [0, n), returns the same shard on every call,
-// and is insensitive to ASCII letter case — the property that lets the
-// sharded single-key path probe with the request's own spelling instead
-// of allocating a folded copy.
-func FuzzPartition(f *testing.F) {
-	for _, key := range []string{
-		"", "PK", "pk", "ads.tracker-x.example", "fig5", "table1",
-		flowsPartitionKey, "AA", "zz", "a", strings.Repeat("x", 300),
-		"\x00", "\xff\xfe", "Ünïcode.example", "MIXED.Case.Example",
-	} {
-		f.Add(key, uint8(4))
-	}
-	f.Add("PK", uint8(0))
-	f.Add("PK", uint8(255))
-
-	f.Fuzz(func(t *testing.T, key string, nRaw uint8) {
-		// Byte-wise ASCII folds: shardOf's case-insensitivity contract is
-		// over ASCII letters only (non-ASCII bytes hash as-is), so fold
-		// per byte rather than with the Unicode-aware strings.ToLower.
-		lo := make([]byte, len(key))
-		hi := make([]byte, len(key))
-		for i := 0; i < len(key); i++ {
-			c := key[i]
-			lo[i], hi[i] = c, c
-			if c >= 'A' && c <= 'Z' {
-				lo[i] = c + ('a' - 'A')
-			}
-			if c >= 'a' && c <= 'z' {
-				hi[i] = c - ('a' - 'A')
-			}
-		}
-		counts := []int{1, 2, 3, 4, 7, MaxShards, int(nRaw)%MaxShards + 1}
-		for _, n := range counts {
-			i := shardOf(key, n) // must not panic on any input
-			if i < 0 || i >= n {
-				t.Fatalf("shardOf(%q, %d) = %d, outside [0, %d)", key, n, i, n)
-			}
-			if j := shardOf(key, n); j != i {
-				t.Fatalf("shardOf(%q, %d) unstable across calls: %d then %d", key, n, i, j)
-			}
-			if j := shardOf(string(lo), n); j != i {
-				t.Fatalf("shardOf(%q, %d) = %d but its ASCII-lowercase spelling maps to %d", key, n, i, j)
-			}
-			if j := shardOf(string(hi), n); j != i {
-				t.Fatalf("shardOf(%q, %d) = %d but its ASCII-uppercase spelling maps to %d", key, n, i, j)
-			}
-		}
-		if shardOf(key, 1) != 0 {
-			t.Fatalf("shardOf(%q, 1) != 0", key)
-		}
-	})
-}

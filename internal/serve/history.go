@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// DefaultHistoryDepth is how many installed snapshots a backend keeps
+// DefaultHistoryDepth is how many installed snapshots a Store keeps
 // addressable when no explicit depth is configured: the live one plus
 // three predecessors.
 const DefaultHistoryDepth = 4
@@ -29,12 +29,11 @@ type SnapshotsPayload struct {
 }
 
 // snapHistory is the ring of the last N installed snapshots, oldest
-// first; the live generation is always the last entry. Both backends
-// embed one: Store serves historical reads straight from the ring, and
-// ShardSet keeps the monolithic source snapshots so a rollback can
-// re-partition the predecessor without re-running analysis. All methods
-// are mutex-guarded — history is only touched on install, rollback, and
-// the (cold) ?snapshot=/listing paths, never on the live hot path.
+// first; the live generation is always the last entry. The Store embeds
+// one and serves historical reads and rollbacks straight from it. All
+// methods are mutex-guarded — history is only touched on install,
+// rollback, and the (cold) ?snapshot=/listing paths, never on the live
+// hot path.
 type snapHistory struct {
 	mu      sync.Mutex
 	depth   int
@@ -61,25 +60,17 @@ func (h *snapHistory) push(s *Snapshot) {
 	}
 }
 
-// predecessor peeks at the generation a rollback would restore.
-func (h *snapHistory) predecessor() (*Snapshot, bool) {
+// pop discards the newest entry and returns the predecessor that
+// becomes the newest; with a single entry left it refuses and changes
+// nothing.
+func (h *snapHistory) pop() (*Snapshot, bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if len(h.entries) < 2 {
 		return nil, false
 	}
-	return h.entries[len(h.entries)-2], true
-}
-
-// pop discards the newest entry. Callers pair it with predecessor():
-// peek, rebuild/validate, then pop once the restore is committed — so a
-// failed rollback never loses history.
-func (h *snapHistory) pop() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.entries) > 1 {
-		h.entries = h.entries[:len(h.entries)-1]
-	}
+	h.entries = h.entries[:len(h.entries)-1]
+	return h.entries[len(h.entries)-1], true
 }
 
 // errNoPredecessor is the structured refusal for a rollback with no

@@ -41,12 +41,10 @@ type endpointMetrics struct {
 // and production stays on sched.Wall() — the walltime lint invariant
 // holds for the serving layer too.
 type metrics struct {
-	endpoints   [epCount]endpointMetrics
-	panics      atomic.Uint64
-	overloads   atomic.Uint64
-	degraded    atomic.Uint64 // 200s served from a surviving-shards merge
-	unavailable atomic.Uint64 // 503s from open circuits (not admission sheds)
-	rollbacks   atomic.Uint64 // operator rollbacks plus auto-rollbacks
+	endpoints [epCount]endpointMetrics
+	panics    atomic.Uint64
+	overloads atomic.Uint64
+	rollbacks atomic.Uint64 // operator rollbacks via POST /admin/rollback
 }
 
 // observe records one finished request.
@@ -87,37 +85,16 @@ type SnapshotInfo struct {
 	Trackers  int       `json:"trackers"`
 }
 
-// ShardStats is one shard's row in the /debug/metrics payload: what the
-// shard's current generation holds, how many times it has been swapped,
-// and how many single-key lookups routed to it. Swaps and Requests are
-// plain atomics in the ShardSet — recording them costs the hot path
-// nothing beyond one counter increment.
-type ShardStats struct {
-	Shard     int    `json:"shard"`
-	Countries int    `json:"countries"`
-	Trackers  int    `json:"trackers"`
-	Figures   int    `json:"figures"`
-	Flows     bool   `json:"flows,omitempty"`
-	Breaker   string `json:"breaker"`
-	Trips     uint64 `json:"trips"`
-	Swaps     uint64 `json:"swaps"`
-	Requests  uint64 `json:"requests"`
-}
-
 // MetricsPayload is the /debug/metrics response body. Endpoint rows are
-// emitted in fixed route order, so the body's shape is deterministic;
-// Shards is present only when serving from a ShardSet, in shard order.
+// emitted in fixed route order, so the body's shape is deterministic.
 type MetricsPayload struct {
-	Snapshot    SnapshotInfo    `json:"snapshot"`
-	UptimeMs    int64           `json:"uptime_ms"`
-	Swaps       uint64          `json:"swaps"`
-	Panics      uint64          `json:"panics"`
-	Overloads   uint64          `json:"overloads"`
-	Degraded    uint64          `json:"degraded"`
-	Unavailable uint64          `json:"unavailable"`
-	Rollbacks   uint64          `json:"rollbacks"`
-	Shards      []ShardStats    `json:"shards,omitempty"`
-	Endpoints   []EndpointStats `json:"endpoints"`
+	Snapshot  SnapshotInfo    `json:"snapshot"`
+	UptimeMs  int64           `json:"uptime_ms"`
+	Swaps     uint64          `json:"swaps"`
+	Panics    uint64          `json:"panics"`
+	Overloads uint64          `json:"overloads"`
+	Rollbacks uint64          `json:"rollbacks"`
+	Endpoints []EndpointStats `json:"endpoints"`
 }
 
 // collect materializes the counters for /debug/metrics. Endpoints that

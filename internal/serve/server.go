@@ -1,10 +1,8 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"net/url"
@@ -66,13 +64,12 @@ func mustPayload(v any) payload {
 	return pl
 }
 
-// Server is the HTTP front end over a backend — a monolithic Store or a
-// sharded ShardSet. Its hot path — route, admit, look up a precomputed
-// payload, write (or answer an If-None-Match revalidation with a 304) —
-// performs zero heap allocations per request (pinned by
-// TestHotEndpointsZeroAllocs).
+// Server is the HTTP front end over a Store. Its hot path — route,
+// admit, look up a precomputed payload, write (or answer an
+// If-None-Match revalidation with a 304) — performs zero heap
+// allocations per request (pinned by TestHotEndpointsZeroAllocs).
 type Server struct {
-	back           backend
+	store          *Store
 	clock          sched.Clock
 	sem            chan struct{}
 	acquireTimeout time.Duration
@@ -82,21 +79,8 @@ type Server struct {
 	start          time.Time
 }
 
-// New builds a Server over a monolithic Store.
+// New builds a Server over store.
 func New(store *Store, opts Options) *Server {
-	return newServer(store, opts)
-}
-
-// NewSharded builds a Server over a ShardSet: single-key endpoints route
-// straight to the owning shard, listings serve the pre-merged
-// scatter-gather view (degrading to a surviving-shards merge when a
-// circuit opens), and POST /admin/reload re-partitions the reloaded
-// snapshot across the set with staggered per-shard swaps.
-func NewSharded(set *ShardSet, opts Options) *Server {
-	return newServer(set, opts)
-}
-
-func newServer(back backend, opts Options) *Server {
 	clock := opts.Clock
 	if clock == nil {
 		clock = sched.Wall()
@@ -110,7 +94,7 @@ func newServer(back backend, opts Options) *Server {
 		timeout = time.Second
 	}
 	return &Server{
-		back:           back,
+		store:          store,
 		clock:          clock,
 		sem:            make(chan struct{}, maxc),
 		acquireTimeout: timeout,
@@ -182,17 +166,12 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, ep endpoint, arg 
 				return status
 			}
 		}
-		lk := s.back.get(ep, arg)
-		switch lk.code {
-		case lookupOK:
-			return s.writeConditional(w, r, lk.pl, lk.id)
-		case lookupDegraded:
-			return s.writeDegraded(w, r, lk)
-		case lookupUnavailable:
-			return s.writeUnavailable(w, lk)
-		default:
+		snap := s.store.Load()
+		pl, ok := snap.payloadFor(ep, arg)
+		if !ok {
 			return s.writeError(w, http.StatusNotFound, "not found", r.URL.Path)
 		}
+		return s.writeConditional(w, r, pl, snap.idHeader)
 	}
 }
 
@@ -239,46 +218,10 @@ func (s *Server) writeConditional(w http.ResponseWriter, r *http.Request, pl pay
 	return http.StatusOK
 }
 
-// writeDegraded serves a listing merged from the surviving shards: a
-// normal (conditional, ETagged) 200 plus the Gamma-Degraded header
-// announcing how much of the set answered. The body is deterministic for
-// a given set of surviving generations — it comes from the memoized
-// degraded merge — so caches and retries behave exactly as on the
-// healthy path.
-//
-//gamma:coldpath degraded responses only occur while a breaker is non-closed
-func (s *Server) writeDegraded(w http.ResponseWriter, r *http.Request, lk lookup) int {
-	s.m.degraded.Add(1)
-	w.Header()["Gamma-Degraded"] = lk.degraded
-	return s.writeConditional(w, r, lk.pl, lk.id)
-}
-
-// writeUnavailable refuses a request whose owning shard (or, for a
-// listing, every shard) has an open circuit: a structured 503 with a
-// Retry-After derived from the breaker's remaining cooldown, never less
-// than one second.
-//
-//gamma:coldpath circuit-open refusals marshal an error body
-func (s *Server) writeUnavailable(w http.ResponseWriter, lk lookup) int {
-	s.m.unavailable.Add(1)
-	secs := int((lk.retryAfter + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	msg := "shard unavailable: circuit open"
-	if lk.total > 0 {
-		msg = "unavailable: " + strconv.Itoa(lk.healthy) + "/" + strconv.Itoa(lk.total) + " shards answering"
-	}
-	return s.writeError(w, http.StatusServiceUnavailable, msg, "")
-}
-
 // maybeServeHistorical handles ?snapshot=<id> time-travel reads against
 // the history ring. It returns 0 when the request carries no snapshot
 // parameter — the caller falls through to the live generation — and the
-// written status otherwise. Historical reads always serve from the
-// retained monolithic snapshot, so they stay available (full fidelity)
-// even while the live sharded generation is degraded.
+// written status otherwise.
 //
 //gamma:coldpath time-travel reads parse the query string and probe the history ring
 func (s *Server) maybeServeHistorical(w http.ResponseWriter, r *http.Request, ep endpoint, arg string) int {
@@ -293,7 +236,7 @@ func (s *Server) maybeServeHistorical(w http.ResponseWriter, r *http.Request, ep
 	if id == "" {
 		return 0
 	}
-	snap, ok := s.back.historical(id)
+	snap, ok := s.store.hist.byID(id)
 	if !ok {
 		return s.writeError(w, http.StatusNotFound, "snapshot "+id+" not in history", r.URL.Path)
 	}
@@ -391,23 +334,25 @@ func (s *Server) writeJSON(w http.ResponseWriter, r *http.Request, v any) int {
 }
 
 // handleMetrics serves /debug/metrics: snapshot identity plus the
-// per-endpoint counters, latency histograms, and (when sharded) the
-// per-shard counter rows with breaker states.
+// per-endpoint counters and latency histograms.
 //
 //gamma:coldpath observability endpoint materializes counters and marshals JSON
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) int {
 	now := s.clock.Now()
+	snap := s.store.Load()
 	return s.writeJSON(w, r, MetricsPayload{
-		Snapshot:    s.back.info(),
-		UptimeMs:    now.Sub(s.start).Milliseconds(),
-		Swaps:       s.back.swapCount(),
-		Panics:      s.m.panics.Load(),
-		Overloads:   s.m.overloads.Load(),
-		Degraded:    s.m.degraded.Load(),
-		Unavailable: s.m.unavailable.Load(),
-		Rollbacks:   s.m.rollbacks.Load(),
-		Shards:      s.back.shardStats(),
-		Endpoints:   s.m.collect(),
+		Snapshot: SnapshotInfo{
+			ID:        snap.meta.ID,
+			BuiltAt:   snap.meta.BuiltAt,
+			Countries: len(snap.codes),
+			Trackers:  len(snap.domains),
+		},
+		UptimeMs:  now.Sub(s.start).Milliseconds(),
+		Swaps:     s.store.Swaps(),
+		Panics:    s.m.panics.Load(),
+		Overloads: s.m.overloads.Load(),
+		Rollbacks: s.m.rollbacks.Load(),
+		Endpoints: s.m.collect(),
 	})
 }
 
@@ -416,7 +361,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) int {
 //
 //gamma:coldpath history listing marshals the ring per request
 func (s *Server) handleSnapshots(w http.ResponseWriter, r *http.Request) int {
-	return s.writeJSON(w, r, s.back.snapshots())
+	return s.writeJSON(w, r, s.store.hist.list())
 }
 
 // boundAdminRequest enforces the admin input bounds: an oversized query
@@ -441,29 +386,6 @@ func (s *Server) boundAdminRequest(w http.ResponseWriter, r *http.Request) int {
 	return 0
 }
 
-// probeInstalled is the post-install self-probe: every endpoint the
-// just-installed snapshot claims to serve must answer with exactly the
-// snapshot's bytes at full fidelity. A degraded or unavailable lookup
-// fails the probe — installing into a degraded set is refused (and
-// auto-rolled back) rather than silently publishing a generation whose
-// health cannot be verified.
-//
-//gamma:coldpath post-install self-probe walks every endpoint once per reload
-func (s *Server) probeInstalled(snap *Snapshot) error {
-	for _, path := range snap.Endpoints() {
-		ep, arg := route(path)
-		lk := s.back.get(ep, arg)
-		if lk.code != lookupOK {
-			return errors.New("self-probe " + path + ": lookup not fully healthy")
-		}
-		want, ok := snap.Body(path)
-		if !ok || !bytes.Equal(lk.pl.body, want) {
-			return errors.New("self-probe " + path + ": served bytes diverge from the installed snapshot")
-		}
-	}
-	return nil
-}
-
 // reloadResponse is the POST /admin/reload success body.
 type reloadResponse struct {
 	Swapped   bool   `json:"swapped"`
@@ -474,13 +396,12 @@ type reloadResponse struct {
 }
 
 // handleReload rebuilds and hot-swaps the snapshot. The swap is
-// validation-gated twice: a reloader error or an invalid replacement
-// leaves the current snapshot serving (422), and a replacement that
-// installs but fails the post-install self-probe is automatically rolled
-// back to the previous generation (422 again) — a bad dataset can never
-// take the service down or leave it silently misserving.
+// validation-gated: a reloader error or a replacement that fails
+// Snapshot.validate leaves the current snapshot serving and reports 422,
+// so a bad dataset can never take the service down or leave it
+// misserving.
 //
-//gamma:coldpath admin reload rebuilds, revalidates, and self-probes a whole snapshot
+//gamma:coldpath admin reload rebuilds and revalidates a whole snapshot
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) int {
 	if r.Method != http.MethodPost {
 		w.Header()["Allow"] = allowPost
@@ -497,27 +418,17 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) int {
 	snap, err := s.reload(r.Context(), r.URL.Query())
 	if err != nil {
 		return s.writeError(w, http.StatusUnprocessableEntity,
-			"reload failed, snapshot "+s.back.info().ID+" still serving: "+err.Error(), "")
+			"reload failed, snapshot "+s.store.Load().meta.ID+" still serving: "+err.Error(), "")
 	}
-	if err := s.back.install(snap); err != nil {
+	if err := s.store.Install(snap); err != nil {
 		return s.writeError(w, http.StatusUnprocessableEntity, err.Error(), "")
-	}
-	if err := s.probeInstalled(snap); err != nil {
-		prev, rbErr := s.back.rollback()
-		if rbErr != nil {
-			return s.writeError(w, http.StatusInternalServerError,
-				"post-install self-probe failed ("+err.Error()+") and rollback failed: "+rbErr.Error(), "")
-		}
-		s.m.rollbacks.Add(1)
-		return s.writeError(w, http.StatusUnprocessableEntity,
-			"post-install self-probe failed: "+err.Error()+"; auto-rolled back to snapshot "+prev.meta.ID, "")
 	}
 	return s.writeJSON(w, r, reloadResponse{
 		Swapped:   true,
 		Snapshot:  snap.meta.ID,
 		Countries: len(snap.codes),
 		Trackers:  len(snap.domains),
-		Swaps:     s.back.swapCount(),
+		Swaps:     s.store.Swaps(),
 	})
 }
 
@@ -532,10 +443,9 @@ type rollbackResponse struct {
 
 // handleRollback restores the previously installed snapshot from the
 // history ring. With no predecessor left it refuses with 409 and the
-// live generation keeps serving; a rebuild failure (sharded rollback
-// re-partitions the predecessor) reports 422, also without downtime.
+// live generation keeps serving.
 //
-//gamma:coldpath admin rollback rebuilds the predecessor generation
+//gamma:coldpath admin rollback marshals its response body
 func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request) int {
 	if r.Method != http.MethodPost {
 		w.Header()["Allow"] = allowPost
@@ -546,12 +456,9 @@ func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request) int {
 	}
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
-	prev, err := s.back.rollback()
+	prev, err := s.store.Rollback()
 	if err != nil {
-		if errors.Is(err, errNoPredecessor) {
-			return s.writeError(w, http.StatusConflict, err.Error(), "")
-		}
-		return s.writeError(w, http.StatusUnprocessableEntity, err.Error(), "")
+		return s.writeError(w, http.StatusConflict, err.Error(), "")
 	}
 	s.m.rollbacks.Add(1)
 	return s.writeJSON(w, r, rollbackResponse{
@@ -559,6 +466,6 @@ func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request) int {
 		Snapshot:   prev.meta.ID,
 		Countries:  len(prev.codes),
 		Trackers:   len(prev.domains),
-		Swaps:      s.back.swapCount(),
+		Swaps:      s.store.Swaps(),
 	})
 }

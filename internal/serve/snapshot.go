@@ -66,10 +66,17 @@ func newPayload(v any) (payload, error) {
 	}, nil
 }
 
+// FNV-1a constants for etagFor, the same hashing idiom internal/filterlist
+// uses for its reverse token index.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
 // etagFor computes a payload's strong entity tag: the quoted FNV-1a hash
 // of the body bytes. Bodies are pure functions of the corpus, so the tag
-// is stable across rebuilds, worker counts, and shard counts — a client
-// cache stays valid across a same-corpus hot reload.
+// is stable across rebuilds and worker counts — a client cache stays
+// valid across a same-corpus hot reload.
 func etagFor(body []byte) string {
 	h := uint64(fnvOffset64)
 	for _, c := range body {
@@ -102,12 +109,6 @@ type Snapshot struct {
 
 	codes   []string // sorted upper-case country codes
 	domains []string // sorted tracker domains
-
-	// view is the structured (pre-encoding) form of every served item.
-	// NewShardSet and ShardSet.Install re-partition it into shards without
-	// re-running analysis, which is what lets one Reload function feed both
-	// the monolithic and the sharded backend.
-	view *corpusView
 }
 
 // --- response shapes (field order is the wire order) ---
@@ -213,39 +214,22 @@ type figureBody struct {
 	Data any    `json:"data"`
 }
 
-// corpusView is the structured (pre-encoding) form of one analyzed
-// corpus: every item the API serves, keyed and ordered, before any JSON
-// is produced. Both the monolithic Snapshot and every Shard encode their
-// payloads from the same view, which is the byte-identity argument in
-// one sentence: identical structs through the same encoder yield
-// identical bytes, however the keys are partitioned.
-type corpusView struct {
-	countries []countryEntry // sorted by upper-case country code
-	trackers  []trackerEntry // sorted by domain
-	flows     FlowsPayload
-	figures   []figureEntry // analysis.FigureIDs() order
-}
-
-type countryEntry struct {
-	code    string
-	summary CountrySummary
-	profile CountryProfile
-}
-
-type trackerEntry struct {
-	domain  string
-	profile *TrackerProfile
-}
-
-type figureEntry struct {
-	id   string
-	body figureBody
-}
-
-// buildCorpusView assembles the structured view of one analyzed corpus.
-// It depends only on res/reg/policies — never on meta or wall time.
-func buildCorpusView(res *pipeline.Result, reg *geo.Registry, policies map[string]analysis.PolicyInfo) (*corpusView, error) {
-	v := &corpusView{}
+// Build constructs a Snapshot from one analyzed corpus. It precomputes
+// every index and JSON-encodes every response body exactly once; the
+// bodies depend only on res/reg/policies, never on meta or wall time.
+func Build(res *pipeline.Result, reg *geo.Registry, policies map[string]analysis.PolicyInfo, meta Meta) (*Snapshot, error) {
+	if res == nil || reg == nil {
+		return nil, fmt.Errorf("serve: Build requires a non-nil result and registry")
+	}
+	s := &Snapshot{
+		meta:     meta,
+		idHeader: []string{meta.ID},
+		country:  map[string]payload{},
+		tracker:  map[string]payload{},
+		figure:   map[string]payload{},
+		codes:    res.CountryCodes(),
+	}
+	var err error
 
 	prevBy := map[string]analysis.Prevalence{}
 	for _, p := range analysis.Fig3Prevalence(res) {
@@ -257,31 +241,36 @@ func buildCorpusView(res *pipeline.Result, reg *geo.Registry, policies map[strin
 	}
 
 	// Per-country profiles plus their listing rows, in sorted country order.
-	codes := res.CountryCodes()
-	for _, cc := range codes {
+	listing := CountryListing{}
+	for _, cc := range s.codes {
 		cr := res.Countries[cc]
 		profile := buildCountryProfile(cc, cr, reg, compBy[cc], prevBy[cc])
-		v.countries = append(v.countries, countryEntry{
-			code:    cc,
-			profile: profile,
-			summary: CountrySummary{
-				Code:             cc,
-				City:             profile.City,
-				Continent:        profile.Continent,
-				Targets:          cr.Targets,
-				LoadedOK:         cr.LoadedOK,
-				UniqueDomains:    len(cr.Verdicts),
-				NonLocalTrackers: len(profile.NonLocalTrackers),
-				PrevalencePct:    profile.Prevalence.OverallPct,
-			},
+		pl, err := newPayload(profile)
+		if err != nil {
+			return nil, err
+		}
+		addFolded(s.country, cc, pl)
+		listing.Countries = append(listing.Countries, CountrySummary{
+			Code:             cc,
+			City:             profile.City,
+			Continent:        profile.Continent,
+			Targets:          cr.Targets,
+			LoadedOK:         cr.LoadedOK,
+			UniqueDomains:    len(cr.Verdicts),
+			NonLocalTrackers: len(profile.NonLocalTrackers),
+			PrevalencePct:    profile.Prevalence.OverallPct,
 		})
+	}
+	listing.Count = len(listing.Countries)
+	if s.countries, err = newPayload(listing); err != nil {
+		return nil, err
 	}
 
 	// Tracker reverse index: domain → observing countries and their
 	// sightings. Assembled from the per-country sorted verdicts so the
 	// observation order is (domain, country)-sorted by construction.
 	byDomain := map[string]*TrackerProfile{}
-	for _, cc := range codes {
+	for _, cc := range s.codes {
 		for _, obs := range res.Countries[cc].SortedDomains() {
 			if obs.Class != geoloc.NonLocal || !obs.IsTracker {
 				continue
@@ -309,100 +298,50 @@ func buildCorpusView(res *pipeline.Result, reg *geo.Registry, policies map[strin
 			})
 		}
 	}
-	domains := make([]string, 0, len(byDomain))
+	s.domains = make([]string, 0, len(byDomain))
 	for domain := range byDomain {
-		domains = append(domains, domain)
+		s.domains = append(s.domains, domain)
 	}
-	sort.Strings(domains)
-	for _, domain := range domains {
+	sort.Strings(s.domains)
+	for _, domain := range s.domains {
 		tp := byDomain[domain]
 		tp.DestCountries = destCountriesOf(tp.ObservedFrom)
-		v.trackers = append(v.trackers, trackerEntry{domain: domain, profile: tp})
+		pl, err := newPayload(tp)
+		if err != nil {
+			return nil, err
+		}
+		s.tracker[lowerASCII(domain)] = pl
+	}
+	if s.trackers, err = newPayload(TrackerListing{Count: len(s.domains), Domains: s.domains}); err != nil {
+		return nil, err
 	}
 
 	// Flow matrices.
 	countryFlows := analysis.Fig5CountryFlows(res)
 	orgFlows := analysis.Fig8OrgFlows(res)
-	v.flows = FlowsPayload{
+	if s.flows, err = newPayload(FlowsPayload{
 		CountryFlows:   countryFlows,
 		FlowShares:     analysis.Fig5FlowShares(countryFlows),
 		DestShares:     analysis.Fig5DestShares(res),
 		ContinentFlows: analysis.Fig6ContinentFlows(res, reg),
 		OrgFlows:       orgFlows,
 		OrgTotals:      analysis.OrgTotals(orgFlows),
+	}); err != nil {
+		return nil, err
 	}
 
 	// Figure payloads, in presentation order.
-	for _, id := range analysis.FigureIDs() {
+	ids := analysis.FigureIDs()
+	for _, id := range ids {
 		data, ok := analysis.Figure(id, res, reg, policies)
 		if !ok {
 			return nil, fmt.Errorf("serve: unknown figure id %q", id)
 		}
-		v.figures = append(v.figures, figureEntry{id: id, body: figureBody{ID: id, Data: data}})
-	}
-	return v, nil
-}
-
-// Build constructs a Snapshot from one analyzed corpus. It precomputes
-// every index and JSON-encodes every response body exactly once; the
-// bodies depend only on res/reg/policies, never on meta or wall time.
-func Build(res *pipeline.Result, reg *geo.Registry, policies map[string]analysis.PolicyInfo, meta Meta) (*Snapshot, error) {
-	if res == nil || reg == nil {
-		return nil, fmt.Errorf("serve: Build requires a non-nil result and registry")
-	}
-	view, err := buildCorpusView(res, reg, policies)
-	if err != nil {
-		return nil, err
-	}
-	s := &Snapshot{
-		meta:     meta,
-		idHeader: []string{meta.ID},
-		country:  map[string]payload{},
-		tracker:  map[string]payload{},
-		figure:   map[string]payload{},
-		codes:    res.CountryCodes(),
-		view:     view,
-	}
-
-	listing := CountryListing{}
-	for _, ce := range view.countries {
-		pl, err := newPayload(ce.profile)
+		pl, err := newPayload(figureBody{ID: id, Data: data})
 		if err != nil {
 			return nil, err
 		}
-		addFolded(s.country, ce.code, pl)
-		listing.Countries = append(listing.Countries, ce.summary)
-	}
-	listing.Count = len(listing.Countries)
-	if s.countries, err = newPayload(listing); err != nil {
-		return nil, err
-	}
-
-	s.domains = make([]string, 0, len(view.trackers))
-	for _, te := range view.trackers {
-		s.domains = append(s.domains, te.domain)
-		pl, err := newPayload(te.profile)
-		if err != nil {
-			return nil, err
-		}
-		s.tracker[lowerASCII(te.domain)] = pl
-	}
-	if s.trackers, err = newPayload(TrackerListing{Count: len(s.domains), Domains: s.domains}); err != nil {
-		return nil, err
-	}
-
-	if s.flows, err = newPayload(view.flows); err != nil {
-		return nil, err
-	}
-
-	ids := make([]string, 0, len(view.figures))
-	for _, fe := range view.figures {
-		ids = append(ids, fe.id)
-		pl, err := newPayload(fe.body)
-		if err != nil {
-			return nil, err
-		}
-		s.figure[fe.id] = pl
+		s.figure[id] = pl
 	}
 	if s.figIndex, err = newPayload(FigureListing{Figures: ids}); err != nil {
 		return nil, err
@@ -570,9 +509,11 @@ func (s *Snapshot) payloadFor(ep endpoint, arg string) (payload, bool) {
 }
 
 // validate is the pre-swap sanity gate: a snapshot must describe a
-// non-empty corpus and carry every precomputed payload it routes to.
-// Store.Install refuses (and keeps the old snapshot serving) when this
-// fails, which is what makes hot reloads safe against bad input.
+// non-empty corpus, carry both letter-case keys of every country (so
+// either canonical spelling is an allocation-free hit), and resolve every
+// path it enumerates. NewStore and Store.Install refuse (and keep the old
+// snapshot serving) when this fails, which is what makes hot reloads safe
+// against bad input.
 func (s *Snapshot) validate() error {
 	if s == nil {
 		return fmt.Errorf("serve: nil snapshot")
@@ -581,13 +522,15 @@ func (s *Snapshot) validate() error {
 		return fmt.Errorf("serve: snapshot has no countries")
 	}
 	for _, cc := range s.codes {
-		if _, ok := s.country[upperASCII(cc)]; !ok {
-			return fmt.Errorf("serve: snapshot missing country payload %s", cc)
+		for _, key := range []string{upperASCII(cc), lowerASCII(cc)} {
+			if _, ok := s.country[key]; !ok {
+				return fmt.Errorf("serve: snapshot missing country payload %s", key)
+			}
 		}
 	}
-	for _, id := range analysis.FigureIDs() {
-		if _, ok := s.figure[id]; !ok {
-			return fmt.Errorf("serve: snapshot missing figure payload %s", id)
+	for _, path := range s.Endpoints() {
+		if _, ok := s.Body(path); !ok {
+			return fmt.Errorf("serve: snapshot cannot serve its own endpoint %s", path)
 		}
 	}
 	for _, pl := range []payload{s.countries, s.trackers, s.flows, s.figIndex} {

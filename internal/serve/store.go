@@ -2,61 +2,9 @@ package serve
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"github.com/gamma-suite/gamma/internal/sched"
 )
-
-// lookupCode classifies one backend lookup. The zero value is not-found,
-// so a zero lookup is a 404.
-type lookupCode int8
-
-const (
-	// lookupNotFound: the key does not exist in the live generation.
-	lookupNotFound lookupCode = iota
-	// lookupOK: full-fidelity payload from a healthy generation.
-	lookupOK
-	// lookupDegraded: a listing merged from the surviving shards only —
-	// served 200 with the Gamma-Degraded header.
-	lookupDegraded
-	// lookupUnavailable: the owning shard's circuit is open (or no shard
-	// answered a listing) — served as a structured 503 with Retry-After.
-	lookupUnavailable
-)
-
-// lookup is one backend read result. It is returned by value and carries
-// only preallocated slices, so the hot path stays allocation-free; the
-// degraded/unavailable fields are populated only on those (cold) paths.
-type lookup struct {
-	pl       payload
-	id       []string // X-Gamma-Snapshot header value
-	degraded []string // Gamma-Degraded header value (lookupDegraded only)
-	code     lookupCode
-
-	// Degradation detail for error bodies and the Retry-After header.
-	healthy    int
-	total      int
-	retryAfter time.Duration
-}
-
-// backend is what the Server serves from: a monolithic Store or a
-// sharded ShardSet. get is the hot path and must not allocate for
-// canonical-case arguments; install/rollback are the validation-gated
-// swaps the admin handlers drive; historical/snapshots expose the
-// history ring; info/swapCount/shardStats feed /debug/metrics.
-type backend interface {
-	get(ep endpoint, arg string) lookup
-	install(snap *Snapshot) error
-	rollback() (*Snapshot, error)
-	historical(id string) (*Snapshot, bool)
-	snapshots() SnapshotsPayload
-	info() SnapshotInfo
-	swapCount() uint64
-	shardStats() []ShardStats
-}
 
 // Store publishes the live Snapshot to concurrent readers. Readers Load
 // the pointer once per request and see a fully consistent view for the
@@ -121,514 +69,15 @@ func (st *Store) Install(snap *Snapshot) error {
 func (st *Store) Rollback() (*Snapshot, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	prev, ok := st.hist.predecessor()
+	prev, ok := st.hist.pop()
 	if !ok {
 		return nil, errNoPredecessor
 	}
 	st.cur.Store(prev)
 	st.swaps.Add(1)
-	st.hist.pop()
 	return prev, nil
 }
 
 // Swaps reports how many snapshots have been installed after the initial
 // one; rollbacks count too.
 func (st *Store) Swaps() uint64 { return st.swaps.Load() }
-
-// --- backend plumbing ---
-
-//gamma:hotpath per-request lookup: one pointer load and a map probe
-func (st *Store) get(ep endpoint, arg string) lookup {
-	snap := st.Load()
-	pl, ok := snap.payloadFor(ep, arg)
-	if !ok {
-		return lookup{}
-	}
-	return lookup{pl: pl, id: snap.idHeader, code: lookupOK}
-}
-
-func (st *Store) install(snap *Snapshot) error           { return st.Install(snap) }
-func (st *Store) rollback() (*Snapshot, error)           { return st.Rollback() }
-func (st *Store) historical(id string) (*Snapshot, bool) { return st.hist.byID(id) }
-func (st *Store) snapshots() SnapshotsPayload            { return st.hist.list() }
-func (st *Store) swapCount() uint64                      { return st.Swaps() }
-func (st *Store) shardStats() []ShardStats               { return nil }
-
-func (st *Store) info() SnapshotInfo {
-	snap := st.Load()
-	return SnapshotInfo{
-		ID:        snap.meta.ID,
-		BuiltAt:   snap.meta.BuiltAt,
-		Countries: len(snap.codes),
-		Trackers:  len(snap.domains),
-	}
-}
-
-// ShardSet publishes a partitioned snapshot: N independently built,
-// independently swappable Shards plus an atomically swapped merged view
-// of the listing payloads. Single-key requests route straight to the
-// owning shard (hash, breaker check, pointer load, map probe — zero
-// allocations); listing requests serve the pre-merged scatter-gather
-// result, rebuilt and re-swapped after every shard install.
-//
-// Every shard read goes through two fault-tolerance layers: a per-shard
-// circuit breaker (sched.Breaker, driven by the injected clock) and the
-// decorable shardAccess seam with a cooperative per-request load budget.
-// While any breaker is non-closed, listings fall back to a deterministic
-// degraded merge of the surviving shards; single-key requests whose
-// owning shard is open are refused with a structured 503.
-//
-// Installs are per-shard atomic, not set-atomic: during a staggered
-// Install, readers may observe some shards at the old generation and
-// some at the new. Every individual response is still fully consistent
-// with exactly one generation of the shard (or merge) that produced it —
-// the same per-request consistency the monolithic Store gives, at shard
-// granularity.
-type ShardSet struct {
-	n        int
-	flowsIdx int // owner of the /v1/flows singleton, fixed by the partition
-
-	clock  sched.Clock
-	budget time.Duration // per-read shard load budget
-
-	shards   []atomic.Pointer[Shard]
-	access   []shardAccess   // decorable read seam, one per shard; fixed after construction
-	breakers []sched.Breaker // one per shard; indexed by pointer, never copied
-	merged   atomic.Pointer[mergedView]
-
-	mu         sync.Mutex // serializes installs, rollbacks, and merge rebuilds
-	hist       snapHistory
-	memo       degradedMemo
-	swaps      atomic.Uint64
-	shardSwaps []atomic.Uint64
-	shardHits  []atomic.Uint64
-}
-
-// ShardSetOptions tunes a ShardSet beyond the zero-config default.
-type ShardSetOptions struct {
-	// Clock drives the circuit breakers and the shard load budget. Nil
-	// uses sched.Wall(); chaos tests inject sched.NewFakeClock.
-	Clock sched.Clock
-	// Breaker configures every per-shard circuit breaker; the zero value
-	// selects sched's defaults (5 consecutive failures, 10s cooldown).
-	Breaker sched.BreakerConfig
-	// LoadBudget bounds one shard read through the access seam; <= 0
-	// uses 100ms. The production seam is a single atomic load that can
-	// never exceed it — the budget exists for decorated (chaos) seams
-	// and any future remote shard transport.
-	LoadBudget time.Duration
-	// HistoryDepth is how many installed generations stay addressable
-	// via ?snapshot=<id> and rollback; <= 0 uses DefaultHistoryDepth.
-	HistoryDepth int
-}
-
-// NewShardSet partitions a built snapshot across n shards with default
-// options. The snapshot must come from Build (it carries the structured
-// corpus view the partitioner consumes); n must be in [1, MaxShards].
-func NewShardSet(snap *Snapshot, n int) (*ShardSet, error) {
-	return NewShardSetWithOptions(snap, n, ShardSetOptions{})
-}
-
-// NewShardSetWithOptions partitions a built snapshot across n shards.
-func NewShardSetWithOptions(snap *Snapshot, n int, opts ShardSetOptions) (*ShardSet, error) {
-	if n < 1 || n > MaxShards {
-		return nil, fmt.Errorf("serve: shard count %d outside [1, %d]", n, MaxShards)
-	}
-	clock := opts.Clock
-	if clock == nil {
-		clock = sched.Wall()
-	}
-	budget := opts.LoadBudget
-	if budget <= 0 {
-		budget = 100 * time.Millisecond
-	}
-	ss := &ShardSet{
-		n:          n,
-		flowsIdx:   shardOf(flowsPartitionKey, n),
-		clock:      clock,
-		budget:     budget,
-		shards:     make([]atomic.Pointer[Shard], n),
-		access:     make([]shardAccess, n),
-		breakers:   make([]sched.Breaker, n),
-		shardSwaps: make([]atomic.Uint64, n),
-		shardHits:  make([]atomic.Uint64, n),
-	}
-	for i := range ss.access {
-		ss.access[i] = directAccess{ss: ss, i: i}
-		ss.breakers[i].Configure(opts.Breaker)
-	}
-	shards, merged, err := ss.buildAll(snap)
-	if err != nil {
-		return nil, err
-	}
-	for i := range shards {
-		ss.shards[i].Store(shards[i])
-	}
-	ss.merged.Store(merged)
-	ss.hist.init(opts.HistoryDepth, snap)
-	return ss, nil
-}
-
-// setAccess swaps shard i's access seam for a decorated one. It is a
-// construction-time hook for the chaos harness — call it before the set
-// sees traffic; mid-run fault-regime changes go through the decorator's
-// own (atomic) controls.
-func (ss *ShardSet) setAccess(i int, a shardAccess) { ss.access[i] = a }
-
-// buildAll partitions snap into a full candidate generation — every
-// shard built and validated, the merged view encoded — without touching
-// any live pointer. An error here therefore rolls back for free: nothing
-// was installed.
-func (ss *ShardSet) buildAll(snap *Snapshot) ([]*Shard, *mergedView, error) {
-	if snap == nil || snap.view == nil {
-		return nil, nil, fmt.Errorf("serve: sharding requires a Build-produced snapshot")
-	}
-	if err := snap.validate(); err != nil {
-		return nil, nil, err
-	}
-	shards := make([]*Shard, ss.n)
-	for i := range shards {
-		sh, err := buildShard(snap.view, i, ss.n)
-		if err == nil {
-			err = sh.validate()
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		shards[i] = sh
-	}
-	merged, err := buildMergedView(shards, snap.meta)
-	if err != nil {
-		return nil, nil, err
-	}
-	return shards, merged, nil
-}
-
-// Shards reports the shard count.
-func (ss *ShardSet) Shards() int { return ss.n }
-
-// Meta returns the provenance label of the newest installed generation.
-func (ss *ShardSet) Meta() Meta { return ss.merged.Load().meta }
-
-// Swaps reports how many full generations have been installed after the
-// initial one; rollbacks count too. Per-shard swap counts are exposed
-// via /debug/metrics.
-func (ss *ShardSet) Swaps() uint64 { return ss.swaps.Load() }
-
-// Install partitions snap and installs it as the new generation, one
-// shard at a time, then records it in the history ring. The whole
-// candidate generation is built and validated before any pointer moves,
-// so a bad snapshot rolls back without a trace; the per-shard swaps are
-// staggered deliberately — readers keep being served throughout, each
-// response consistent with one generation of its shard.
-func (ss *ShardSet) Install(snap *Snapshot) error {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	shards, merged, err := ss.buildAll(snap)
-	if err != nil {
-		return fmt.Errorf("install rejected, previous shards still serving: %w", err)
-	}
-	for i := range shards {
-		ss.shards[i].Store(shards[i])
-		ss.shardSwaps[i].Add(1)
-	}
-	ss.merged.Store(merged)
-	ss.swaps.Add(1)
-	ss.hist.push(snap)
-	return nil
-}
-
-// Rollback re-partitions the previously installed snapshot from the
-// history ring and installs it, counting as a swap. The candidate is
-// fully rebuilt and validated before any pointer moves and the history
-// entry is only consumed once the restore is committed, so a failed
-// rollback leaves both the live generation and the ring untouched.
-func (ss *ShardSet) Rollback() (*Snapshot, error) {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	prev, ok := ss.hist.predecessor()
-	if !ok {
-		return nil, errNoPredecessor
-	}
-	shards, merged, err := ss.buildAll(prev)
-	if err != nil {
-		return nil, fmt.Errorf("rollback rejected, current generation still serving: %w", err)
-	}
-	for i := range shards {
-		ss.shards[i].Store(shards[i])
-		ss.shardSwaps[i].Add(1)
-	}
-	ss.merged.Store(merged)
-	ss.swaps.Add(1)
-	ss.hist.pop()
-	return prev, nil
-}
-
-// InstallShard rebuilds and swaps a single shard from snap, then
-// re-merges the listings against the other shards' current generations.
-// This is the staggered-rollout primitive: a caller can walk a new
-// corpus across the set shard by shard, serving a mixed-generation view
-// that is per-shard consistent at every step. Partial generations are
-// not rollback points, so InstallShard does not touch the history ring.
-func (ss *ShardSet) InstallShard(snap *Snapshot, i int) error {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	if i < 0 || i >= ss.n {
-		return fmt.Errorf("serve: shard index %d outside [0, %d)", i, ss.n)
-	}
-	if snap == nil || snap.view == nil {
-		return fmt.Errorf("serve: sharding requires a Build-produced snapshot")
-	}
-	if err := snap.validate(); err != nil {
-		return fmt.Errorf("shard %d install rejected, previous shard still serving: %w", i, err)
-	}
-	sh, err := buildShard(snap.view, i, ss.n)
-	if err == nil {
-		err = sh.validate()
-	}
-	if err != nil {
-		return fmt.Errorf("shard %d install rejected, previous shard still serving: %w", i, err)
-	}
-	cur := make([]*Shard, ss.n)
-	for j := range cur {
-		cur[j] = ss.shards[j].Load()
-	}
-	cur[i] = sh
-	merged, err := buildMergedView(cur, snap.meta)
-	if err != nil {
-		return fmt.Errorf("shard %d install rejected, previous shard still serving: %w", i, err)
-	}
-	ss.shards[i].Store(sh)
-	ss.shardSwaps[i].Add(1)
-	ss.merged.Store(merged)
-	return nil
-}
-
-// Body resolves a request path to its precomputed response body through
-// the same router and scatter-gather lookup the HTTP server uses.
-// Degraded listings resolve too — Body answers "what bytes would this
-// path serve", whatever the fidelity. The returned slice is a shard's
-// own buffer; callers must not mutate it.
-func (ss *ShardSet) Body(path string) ([]byte, bool) {
-	ep, arg := route(path)
-	lk := ss.get(ep, arg)
-	if lk.code != lookupOK && lk.code != lookupDegraded {
-		return nil, false
-	}
-	return lk.pl.body, true
-}
-
-// Endpoints enumerates every GET path the set serves, sorted — the same
-// list the equivalent monolithic snapshot enumerates.
-func (ss *ShardSet) Endpoints() []string {
-	out := []string{"/v1/countries", "/v1/trackers", "/v1/flows", "/v1/figures"}
-	for i := range ss.shards {
-		sh := ss.shards[i].Load()
-		for _, cc := range sh.codes {
-			out = append(out, "/v1/countries/"+lowerASCII(cc))
-		}
-		for _, domain := range sh.domains {
-			out = append(out, "/v1/trackers/"+domain)
-		}
-		for _, id := range sh.figIDs {
-			out = append(out, "/v1/figures/"+id)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// --- backend plumbing ---
-
-// allClosed reports whether every shard's circuit is closed — the
-// listing fast-path predicate. One atomic state load per shard, no
-// clock reads, no allocation.
-//
-//gamma:hotpath listing fast path scans n breaker state words
-func (ss *ShardSet) allClosed() bool {
-	for i := range ss.breakers {
-		if ss.breakers[i].State() != sched.BreakerClosed {
-			return false
-		}
-	}
-	return true
-}
-
-// acquireShard is the guarded shard read every keyed lookup and every
-// degraded-merge probe goes through: breaker admission, then the access
-// seam under the load budget, with the outcome fed back to the breaker.
-// The healthy path is an atomic state load, an atomic pointer load, and
-// an elided success write — no clock reads, no allocation.
-//
-//gamma:hotpath guarded shard read on every single-key lookup
-func (ss *ShardSet) acquireShard(i int) (*Shard, lookup) {
-	ss.shardHits[i].Add(1)
-	br := &ss.breakers[i]
-	ok, retry := br.Allow(ss.clock)
-	if !ok {
-		return nil, lookup{code: lookupUnavailable, retryAfter: retry}
-	}
-	sh, err := ss.access[i].load(ss.clock, ss.budget)
-	if err != nil || sh == nil {
-		br.Failure(ss.clock)
-		return nil, lookup{code: lookupUnavailable}
-	}
-	br.Success()
-	return sh, lookup{code: lookupOK}
-}
-
-// degradedListing is the listing slow path, taken only while at least
-// one breaker is non-closed: probe every shard through its breaker and
-// seam, then serve the deterministic merge of the survivors. All shards
-// answering means the set healed mid-flight — serve the premerged view,
-// byte-identical to the healthy path. No shard answering is a 503.
-//
-//gamma:coldpath degraded scatter-gather re-merges surviving shards; only runs while a breaker is non-closed
-func (ss *ShardSet) degradedListing(ep endpoint, m *mergedView) lookup {
-	alive := make([]*Shard, ss.n)
-	healthy := 0
-	var retry time.Duration
-	for i := 0; i < ss.n; i++ {
-		sh, lk := ss.acquireShard(i)
-		if lk.code == lookupOK {
-			alive[i] = sh
-			healthy++
-		} else if lk.retryAfter > retry {
-			retry = lk.retryAfter
-		}
-	}
-	if healthy == ss.n {
-		return ss.listingFrom(ep, m)
-	}
-	if healthy == 0 {
-		return lookup{code: lookupUnavailable, healthy: 0, total: ss.n, retryAfter: retry}
-	}
-	dv, err := ss.memo.view(alive, m.meta)
-	if err != nil {
-		return lookup{code: lookupUnavailable, healthy: healthy, total: ss.n, retryAfter: retry}
-	}
-	lk := lookup{id: dv.idHeader, degraded: dv.header, code: lookupDegraded, healthy: healthy, total: ss.n}
-	switch ep {
-	case epCountries:
-		lk.pl = dv.listings.countries
-	case epTrackers:
-		lk.pl = dv.listings.trackers
-	default: // epFigures
-		lk.pl = dv.listings.figIndex
-	}
-	return lk
-}
-
-// listingFrom serves one listing payload from the premerged view.
-//
-//gamma:hotpath listing emission is a field select on the premerged view
-func (ss *ShardSet) listingFrom(ep endpoint, m *mergedView) lookup {
-	switch ep {
-	case epCountries:
-		return lookup{pl: m.countries, id: m.idHeader, code: lookupOK}
-	case epTrackers:
-		return lookup{pl: m.trackers, id: m.idHeader, code: lookupOK}
-	default: // epFigures
-		return lookup{pl: m.figIndex, id: m.idHeader, code: lookupOK}
-	}
-}
-
-// get routes one lookup. Listings come from the premerged view while
-// every circuit is closed and from the degraded merge otherwise;
-// single-key lookups hash the argument to its owning shard and probe
-// there through the breaker and access seam, using the same dual-case
-// strategy as the monolithic snapshot so canonical arguments resolve
-// without allocating.
-//
-//gamma:hotpath per-request scatter-gather lookup: hash, breaker check, pointer load, probe
-func (ss *ShardSet) get(ep endpoint, arg string) lookup {
-	m := ss.merged.Load()
-	switch ep {
-	case epCountries, epTrackers, epFigures:
-		if ss.allClosed() {
-			return ss.listingFrom(ep, m)
-		}
-		return ss.degradedListing(ep, m)
-	case epFlows:
-		sh, lk := ss.acquireShard(ss.flowsIdx)
-		if lk.code != lookupOK {
-			return lk
-		}
-		if !sh.hasFlows {
-			return lookup{}
-		}
-		return lookup{pl: sh.flows, id: m.idHeader, code: lookupOK}
-	case epCountry:
-		sh, lk := ss.acquireShard(shardOf(arg, ss.n))
-		if lk.code != lookupOK {
-			return lk
-		}
-		if pl, ok := sh.country[arg]; ok {
-			return lookup{pl: pl, id: m.idHeader, code: lookupOK}
-		}
-		if pl, ok := sh.country[upperASCII(arg)]; ok {
-			return lookup{pl: pl, id: m.idHeader, code: lookupOK}
-		}
-		return lookup{}
-	case epTracker:
-		sh, lk := ss.acquireShard(shardOf(arg, ss.n))
-		if lk.code != lookupOK {
-			return lk
-		}
-		if pl, ok := sh.tracker[arg]; ok {
-			return lookup{pl: pl, id: m.idHeader, code: lookupOK}
-		}
-		if pl, ok := sh.tracker[lowerASCII(arg)]; ok {
-			return lookup{pl: pl, id: m.idHeader, code: lookupOK}
-		}
-		return lookup{}
-	case epFigure:
-		sh, lk := ss.acquireShard(shardOf(arg, ss.n))
-		if lk.code != lookupOK {
-			return lk
-		}
-		if pl, ok := sh.figure[arg]; ok {
-			return lookup{pl: pl, id: m.idHeader, code: lookupOK}
-		}
-		return lookup{}
-	default:
-		return lookup{}
-	}
-}
-
-func (ss *ShardSet) install(snap *Snapshot) error           { return ss.Install(snap) }
-func (ss *ShardSet) rollback() (*Snapshot, error)           { return ss.Rollback() }
-func (ss *ShardSet) historical(id string) (*Snapshot, bool) { return ss.hist.byID(id) }
-func (ss *ShardSet) snapshots() SnapshotsPayload            { return ss.hist.list() }
-func (ss *ShardSet) swapCount() uint64                      { return ss.Swaps() }
-
-func (ss *ShardSet) info() SnapshotInfo {
-	m := ss.merged.Load()
-	return SnapshotInfo{
-		ID:        m.meta.ID,
-		BuiltAt:   m.meta.BuiltAt,
-		Countries: m.nCountries,
-		Trackers:  m.nTrackers,
-	}
-}
-
-// shardStats materializes the per-shard counters for /debug/metrics.
-func (ss *ShardSet) shardStats() []ShardStats {
-	out := make([]ShardStats, ss.n)
-	for i := range out {
-		sh := ss.shards[i].Load()
-		br := &ss.breakers[i]
-		out[i] = ShardStats{
-			Shard:     i,
-			Countries: len(sh.codes),
-			Trackers:  len(sh.domains),
-			Figures:   len(sh.figIDs),
-			Flows:     sh.hasFlows,
-			Breaker:   br.State().String(),
-			Trips:     br.Trips(),
-			Swaps:     ss.shardSwaps[i].Load(),
-			Requests:  ss.shardHits[i].Load(),
-		}
-	}
-	return out
-}

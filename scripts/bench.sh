@@ -3,9 +3,7 @@
 #
 # Runs the filterlist matching-engine benchmarks (hit, miss, bare-hostname
 # probe, index build, parse), the pipeline's parallel-analysis benchmark,
-# and the serving layer's hot-path benchmarks — monolithic and sharded
-# (BenchmarkServeQueries matches BenchmarkServeQueriesSharded too) —
-# with -benchtime=1x -count=1:
+# and the serving layer's hot-path benchmarks with -benchtime=1x -count=1:
 # fast enough for CI, and a compile+run check that every benchmark still
 # works. Real before/after numbers are collected with longer benchtimes
 # and recorded in BENCH_*.json.
@@ -16,7 +14,7 @@ go test -run '^$' -bench 'BenchmarkMatch|BenchmarkEngineBuild|BenchmarkParse' \
 	-benchtime=1x -count=1 ./internal/filterlist/
 go test -run '^$' -bench 'BenchmarkProcessParallel' \
 	-benchtime=1x -count=1 ./internal/pipeline/
-go test -run '^$' -bench 'BenchmarkServeQueries|BenchmarkSnapshotBuild|BenchmarkSwapUnderLoad|BenchmarkScatterGatherDegraded' \
+go test -run '^$' -bench 'BenchmarkServeQueries|BenchmarkSnapshotBuild|BenchmarkSwapUnderLoad' \
 	-benchtime=1x -count=1 ./internal/serve/
 # The analyzer's own latency budget: one full self-run (load, type-check,
 # call-graph build, all seven checks over the module) must stay well
