@@ -22,7 +22,6 @@ import (
 	"github.com/gamma-suite/gamma/internal/core"
 	"github.com/gamma-suite/gamma/internal/geo"
 	"github.com/gamma-suite/gamma/internal/pipeline"
-	"github.com/gamma-suite/gamma/internal/sched"
 	"github.com/gamma-suite/gamma/internal/targets"
 )
 
@@ -378,18 +377,19 @@ func BenchmarkScheduledStudy(b *testing.B) {
 }
 
 // BenchmarkScheduledStudyFaulty measures the retry overhead of running the
-// study through injected transient faults: per-call retries absorb every
-// fault, so the extra attempts (reported from the suite fault counters via
-// Study.Sched) are pure overhead against the fault-free run above.
+// study through injected transient faults: each fault ends its volunteer's
+// attempt, and the campaign's volunteer retry resumes from the failed
+// target. The extra attempts (Study.Sched) are pure overhead against the
+// fault-free run above.
 func BenchmarkScheduledStudyFaulty(b *testing.B) {
-	for _, rate := range []float64{0.05, 0.2} {
+	for _, rate := range []float64{0.01, faultRate} {
 		b.Run(fmt.Sprintf("rate=%v", rate), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				s, err := gamma.RunStudyWithOptions(context.Background(), uint64(300+i), gamma.StudyOptions{
-					Workers:     4,
-					FaultRate:   rate,
-					DriverRetry: sched.RetryPolicy{MaxAttempts: 40},
-					Retry:       sched.RetryPolicy{MaxAttempts: 3},
+				seed := uint64(300 + i)
+				s, err := gamma.RunStudyWithOptions(context.Background(), seed, gamma.StudyOptions{
+					Workers: 4,
+					EnvHook: faultyHook(seed, rate),
+					Retry:   faultRetry,
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -9,6 +9,9 @@
 //	gamma -country PK -seed 42 -out data/pk.json
 //	gamma -country PK -seed 42 -out data/pk.json -resume   # continue a run
 //	gamma -country PK -seed 42 -out data/pk.json -analyze  # preview Box 2
+//
+// -resume only continues a dataset recorded by the same volunteer against
+// the same target list (the same seed); any other file is left untouched.
 package main
 
 import (
@@ -67,6 +70,11 @@ func main() {
 		return
 	}
 	if *country == "" || *out == "" {
+		flag.Usage()
+		os.Exit(2)
+	}
+	if *chunk < 0 {
+		fmt.Fprintf(os.Stderr, "gamma: -chunk must not be negative, got %d (leave 0 to measure every pending target)\n", *chunk)
 		flag.Usage()
 		os.Exit(2)
 	}

@@ -30,6 +30,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"net/netip"
 	"path/filepath"
 	"runtime"
@@ -327,8 +328,8 @@ type Study struct {
 // Volunteers run concurrently through the campaign scheduler; on the
 // first fatal volunteer error the remaining work is cancelled via a
 // derived context and every error observed is reported through
-// errors.Join. Use RunStudyWithOptions for retries, fault injection,
-// checkpointing, and partial-result campaigns.
+// errors.Join. Use RunStudyWithOptions for retries, checkpointing, and
+// partial-result campaigns.
 func RunStudy(ctx context.Context, seed uint64) (*Study, error) {
 	study, err := RunStudyWithOptions(ctx, seed, StudyOptions{})
 	if err != nil {
@@ -351,15 +352,11 @@ type StudyOptions struct {
 	// 1 forces a serial analysis. Like Workers, the analyzed result is
 	// byte-identical for every value.
 	AnalysisWorkers int
-	// Retry re-runs a failed volunteer (zero value: single attempt).
-	// Each retry resumes the volunteer's dataset, so completed targets
-	// are never re-measured.
+	// Retry re-runs a failed volunteer (zero value: single attempt). It
+	// is the campaign's only retry layer: each retry resumes the
+	// volunteer's dataset from its first unrecorded target, so completed
+	// targets are never re-measured.
 	Retry sched.RetryPolicy
-	// DriverRetry is passed to every volunteer's suite: individual driver
-	// calls that report transient faults (driver.Fault — e.g. from the
-	// sched.Flaky* decorators) are retried at this policy before a target
-	// or volunteer is considered failed.
-	DriverRetry sched.RetryPolicy
 	// VolunteerTimeout bounds one volunteer attempt (0 = unbounded).
 	VolunteerTimeout time.Duration
 	// ContinuePastFailures keeps the campaign running when a volunteer
@@ -367,22 +364,18 @@ type StudyOptions struct {
 	// the returned error joins one error per failed volunteer. When
 	// false, the first fatal error cancels outstanding volunteers.
 	ContinuePastFailures bool
-	// FaultRate, when positive, wraps every volunteer's drivers in the
-	// sched.FlakyBrowser/FlakyResolver/FlakyProber decorators at this
-	// transient-failure rate — the campaign-level chaos harness. Draws
-	// are keyed by the study seed, so fault patterns reproduce exactly.
-	FaultRate float64
-	// Clock paces volunteer retries/timeouts and is forwarded to every
-	// suite's scheduler. Nil uses the wall clock; tests inject
-	// sched.NewFakeClock so nothing sleeps for real.
+	// Clock paces volunteer retries and timeouts. Nil uses the wall
+	// clock; tests inject sched.NewFakeClock so nothing sleeps for real.
 	Clock sched.Clock
 	// CheckpointDir, when set, persists each volunteer's dataset through
-	// core.SaveDataset after every attempt and resumes from an existing
-	// checkpoint on start — the §3.3 "resume from where it was last
-	// stopped" behaviour at campaign scope. Files are <dir>/<cc>.json.
+	// core.SaveDataset after every attempt that recorded a page, and
+	// resumes from an existing checkpoint on start — the §3.3 "resume
+	// from where it was last stopped" behaviour at campaign scope. Files
+	// are <dir>/<cc>.json; a file that exists but cannot be loaded or
+	// resumed fails its volunteer and is left on disk.
 	CheckpointDir string
 	// EnvHook, when set, rewrites a volunteer's drivers before the suite
-	// is built (after FaultRate decoration). Tests use it to make
+	// is built. Tests use it to inject transient faults or to make
 	// specific volunteers fail permanently.
 	EnvHook func(cc string, env core.Env) core.Env
 	// DisableCaches builds the world with every measurement-plane memo
@@ -402,10 +395,10 @@ type StudyOptions struct {
 // volunteer, each naming its country.
 //
 // Determinism invariant: identical seeds produce byte-identical datasets
-// regardless of Workers and regardless of injected transient faults, as
-// long as retries eventually succeed — every stochastic draw (world,
-// measurement, fault, backoff) is keyed by stable strings, and the
-// simulated drivers are stateless per call.
+// regardless of Workers and of how many campaign retries a volunteer
+// needed — every stochastic draw (world, measurement, backoff) is keyed by
+// stable strings, the simulated drivers are stateless per call, and a
+// failed attempt keeps only the in-order prefix of its pages.
 func RunStudyWithOptions(ctx context.Context, seed uint64, opts StudyOptions) (*Study, error) {
 	w, err := worldgen.BuildWithOptions(seed, worldgen.Options{DisableCaches: opts.DisableCaches})
 	if err != nil {
@@ -422,7 +415,7 @@ func RunStudyWithOptions(ctx context.Context, seed uint64, opts StudyOptions) (*
 		cc := cc
 		units[i] = sched.Unit[*Dataset]{
 			ID:  "volunteer/" + cc,
-			Run: volunteerUnit(w, cc, sels[cc], seed, opts),
+			Run: volunteerUnit(w, cc, sels[cc], opts),
 		}
 	}
 	workers := opts.Workers
@@ -471,9 +464,9 @@ func RunStudyWithOptions(ctx context.Context, seed uint64, opts StudyOptions) (*
 }
 
 // volunteerUnit builds the campaign work function for one country. State
-// (drivers, suite, dataset) persists across retry attempts so fault
-// decorators keep their call counters and resumes skip completed targets.
-func volunteerUnit(w *World, cc string, sel Selection, seed uint64, opts StudyOptions) func(context.Context) (*Dataset, error) {
+// (drivers, suite, dataset) persists across retry attempts so each retry
+// resumes from the first unrecorded target.
+func volunteerUnit(w *World, cc string, sel Selection, opts StudyOptions) func(context.Context) (*Dataset, error) {
 	var (
 		mu      sync.Mutex
 		inited  bool
@@ -496,31 +489,28 @@ func volunteerUnit(w *World, cc string, sel Selection, seed uint64, opts StudyOp
 				if err != nil {
 					return err
 				}
-				if opts.FaultRate > 0 {
-					env = FaultyEnv(env, seed, "volunteer/"+cc, opts.FaultRate)
-				}
 				if opts.EnvHook != nil {
 					env = opts.EnvHook(cc, env)
 				}
-				if opts.Clock != nil {
-					env.Timer = opts.Clock
-				}
 				cfg.Targets = sel.Targets()
-				cfg.DriverRetry = opts.DriverRetry
-				cfg.SchedSeed = seed
 				suite, err = core.New(cfg, env)
 				if err != nil {
 					return err
 				}
 				if opts.CheckpointDir != "" {
 					ckpt = filepath.Join(opts.CheckpointDir, cc+".json")
-					if loaded, err := core.LoadDataset(ckpt); err == nil && loaded.VolunteerID == cfg.VolunteerID {
+					loaded, err := core.LoadDataset(ckpt)
+					if err == nil {
 						ds = loaded
+						return nil
+					}
+					if !errors.Is(err, fs.ErrNotExist) {
+						// An unreadable checkpoint is kept for inspection,
+						// never silently replaced by a fresh run.
+						return fmt.Errorf("checkpoint %s: %w", ckpt, err)
 					}
 				}
-				if ds == nil {
-					ds = suite.NewDataset()
-				}
+				ds = suite.NewDataset()
 				return nil
 			}()
 		}
@@ -528,10 +518,12 @@ func volunteerUnit(w *World, cc string, sel Selection, seed uint64, opts StudyOp
 			// Configuration problems are terminal; no retry can fix them.
 			return nil, sched.Permanent(initErr)
 		}
+		recorded := len(ds.Pages)
 		err := suite.Resume(ctx, ds)
-		if ckpt != "" {
+		if ckpt != "" && len(ds.Pages) > recorded {
 			// Persist progress even on failure so a later attempt — or a
-			// whole later campaign — resumes instead of restarting.
+			// whole later campaign — resumes instead of restarting. An
+			// attempt that recorded nothing leaves the file as it was.
 			if serr := core.SaveDataset(ckpt, ds); err == nil && serr != nil {
 				err = serr
 			}
@@ -541,18 +533,6 @@ func volunteerUnit(w *World, cc string, sel Selection, seed uint64, opts StudyOp
 		}
 		return ds, nil
 	}
-}
-
-// FaultyEnv wraps an environment's drivers in the sched fault-injection
-// decorators at the given transient-failure rate. scope must be unique per
-// volunteer so concurrent volunteers draw independent fault streams.
-func FaultyEnv(env core.Env, seed uint64, scope string, rate float64) core.Env {
-	env.Browser = sched.NewFlakyBrowser(env.Browser, seed, scope, rate)
-	env.Resolver = sched.NewFlakyResolver(env.Resolver, seed, scope, rate)
-	if env.Prober != nil {
-		env.Prober = sched.NewFlakyProber(env.Prober, seed, scope, rate)
-	}
-	return env
 }
 
 // SiteKindOf reports a domain's site kind in the world ("regional",

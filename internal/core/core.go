@@ -12,11 +12,12 @@
 // tools; in this repository they are backed by the simulation substrates.
 // core itself imports neither.
 //
-// Targets are scheduled through internal/sched: a bounded worker pool with
-// deterministic retry/backoff. Transient driver faults (marked with
-// driver.Fault) are retried per call under Config.DriverRetry; whole-target
-// attempts are retried under Config.TargetRetry and bounded by
-// Config.TargetTimeout.
+// Targets are scheduled through internal/sched's bounded worker pool, one
+// attempt each. A transient driver fault (marked with driver.Fault) aborts
+// its target without being recorded; the pages before it are kept, and a
+// later Resume re-measures from the first unrecorded target. Retrying is
+// the caller's job: the study campaign retries whole volunteers, and each
+// retry resumes.
 package core
 
 import (
@@ -79,10 +80,6 @@ type Env struct {
 	TLS      TLSProber
 	Pinger   Pinger
 	Clock    Clock
-	// Timer paces scheduler retries and timeouts (backoff waits, attempt
-	// deadlines). Nil uses the wall clock; tests inject sched.NewFakeClock
-	// so nothing ever sleeps for real.
-	Timer sched.Clock
 }
 
 func (e Env) validate() error {
@@ -137,21 +134,6 @@ type Config struct {
 	// zero value defaults to 1, the paper's single-thread volunteer mode;
 	// negative values are a configuration error.
 	Parallelism int `json:"parallelism"`
-
-	// DriverRetry retries individual driver calls (a page load, one
-	// resolution, one traceroute) that report transient infrastructure
-	// faults (driver.Fault) — the cheapest level at which flaky volunteer
-	// machines can be absorbed. The zero value makes a single attempt.
-	DriverRetry sched.RetryPolicy `json:"driver_retry,omitempty"`
-	// TargetRetry re-runs a whole target measurement when an attempt
-	// fails terminally. The zero value makes a single attempt.
-	TargetRetry sched.RetryPolicy `json:"target_retry,omitempty"`
-	// TargetTimeout bounds one target attempt (0 = unbounded), measured
-	// on Env.Timer.
-	TargetTimeout time.Duration `json:"target_timeout_ns,omitempty"`
-	// SchedSeed keys the deterministic backoff jitter draws; campaigns
-	// pass the study seed so retry timing reproduces run to run.
-	SchedSeed uint64 `json:"sched_seed,omitempty"`
 }
 
 // DNSRecord is one C2 resolution result.
@@ -194,15 +176,6 @@ type Dataset struct {
 func (d *Dataset) Anonymize() {
 	d.VolunteerIP = ""
 	d.Anonymized = true
-}
-
-// Completed reports which targets already have a result (used by resume).
-func (d *Dataset) Completed() map[string]bool {
-	done := make(map[string]bool, len(d.Pages))
-	for _, p := range d.Pages {
-		done[p.Target.Domain] = true
-	}
-	return done
 }
 
 // LoadedOK counts targets whose page load succeeded.
@@ -250,31 +223,12 @@ func New(cfg Config, env Env) (*Suite, error) {
 		return nil, fmt.Errorf("core: pings enabled but Env.Pinger is nil")
 	}
 	s := &Suite{cfg: cfg, env: env}
-	s.pool = sched.New[PageResult](sched.Options{
-		Workers:  cfg.Parallelism,
-		Timeout:  cfg.TargetTimeout,
-		Retry:    cfg.TargetRetry,
-		Seed:     cfg.SchedSeed,
-		Clock:    env.Timer,
-		FailFast: true,
-	})
+	s.pool = sched.New[PageResult](sched.Options{Workers: cfg.Parallelism, FailFast: true})
 	return s, nil
 }
 
 // Config returns the suite configuration.
 func (s *Suite) Config() Config { return s.cfg }
-
-// SchedStats snapshots the target scheduler's counters (attempts, retries,
-// latencies), accumulated across Run/Resume calls.
-func (s *Suite) SchedStats() sched.Stats { return s.pool.Stats() }
-
-// timer returns the clock pacing retries and timeouts.
-func (s *Suite) timer() sched.Clock {
-	if s.env.Timer != nil {
-		return s.env.Timer
-	}
-	return sched.Wall()
-}
 
 // NewDataset returns the empty dataset a fresh run would fill. Pair it
 // with Resume when the dataset must outlive individual attempts (campaign
@@ -305,27 +259,29 @@ func (s *Suite) Resume(ctx context.Context, ds *Dataset) error {
 // ResumeLimit resumes but measures at most limit pending targets (0 = all):
 // the "run it in chunks" mode the paper offered volunteers.
 //
-// Pending targets are scheduled through the suite's worker pool
-// (Config.Parallelism workers, per-target retry and timeout). Pages are
-// recorded in target order up to the first terminal failure, so a later
-// Resume continues exactly where this one stopped and the final dataset is
+// ds must be a recording by this suite's volunteer whose pages are an
+// in-order prefix of Config.Targets; anything else (another volunteer,
+// another world's target list) is rejected, marked sched.Permanent, and
+// ds is left untouched. Pending targets are scheduled through the suite's
+// worker pool (Config.Parallelism workers, one attempt each). Pages are
+// recorded in target order up to the first failure, so a later Resume
+// continues exactly where this one stopped and the final dataset is
 // byte-identical however many attempts it took.
 func (s *Suite) ResumeLimit(ctx context.Context, ds *Dataset, limit int) error {
-	done := ds.Completed()
-	var pending []Target
-	for _, t := range s.cfg.Targets {
-		if !done[t.Domain] {
-			pending = append(pending, t)
-		}
+	if limit < 0 {
+		return fmt.Errorf("core: resume limit must not be negative, got %d (leave 0 to measure every pending target)", limit)
 	}
+	if err := s.resumable(ds); err != nil {
+		return sched.Permanent(err)
+	}
+	pending := s.cfg.Targets[len(ds.Pages):]
 	if limit > 0 && len(pending) > limit {
 		pending = pending[:limit]
 	}
 	units := make([]sched.Unit[PageResult], len(pending))
 	for i, t := range pending {
-		t := t
 		units[i] = sched.Unit[PageResult]{
-			ID: s.cfg.VolunteerID + "/target/" + t.Domain,
+			ID: t.Domain,
 			Run: func(ctx context.Context) (PageResult, error) {
 				return s.measureTarget(ctx, t)
 			},
@@ -334,9 +290,9 @@ func (s *Suite) ResumeLimit(ctx context.Context, ds *Dataset, limit int) error {
 	results, _ := s.pool.Run(ctx, units)
 
 	// Append completed pages in target order, stopping at the first unit
-	// that did not succeed: resume keys on recorded domains, and keeping
-	// the record a strict in-order prefix of the pending list is what
-	// makes retried runs byte-identical to uninterrupted ones. The
+	// that did not succeed: resume continues after the last recorded page,
+	// and keeping the record a strict in-order prefix of the targets is
+	// what makes retried runs byte-identical to uninterrupted ones. The
 	// reported error is the first *causal* failure — in-flight units
 	// cancelled by fail-fast carry context.Canceled and must not mask it.
 	appendUpTo := len(results)
@@ -368,11 +324,27 @@ func (s *Suite) ResumeLimit(ctx context.Context, ds *Dataset, limit int) error {
 	return nil
 }
 
-// measureTarget runs C1 -> C2 -> C3 for one site. Individual driver calls
-// are retried under Config.DriverRetry; transient infrastructure faults
-// (driver.Fault) that survive every retry abort the attempt rather than
-// polluting the dataset, while negative measurement results (NXDOMAIN,
-// failed page loads) are recorded as data.
+// resumable reports why ds cannot be resumed by this suite, if it cannot:
+// resume appends from len(ds.Pages) on, so a dataset of another volunteer
+// or of another target list would mix two recordings in one file.
+func (s *Suite) resumable(ds *Dataset) error {
+	if ds.VolunteerID != s.cfg.VolunteerID || ds.Country != s.cfg.Country {
+		return fmt.Errorf("core: cannot resume the dataset of volunteer %s (%s) as volunteer %s (%s)",
+			ds.VolunteerID, ds.Country, s.cfg.VolunteerID, s.cfg.Country)
+	}
+	for i, p := range ds.Pages {
+		if i >= len(s.cfg.Targets) || p.Target != s.cfg.Targets[i] {
+			return fmt.Errorf("core: cannot resume: recorded page %d (%s) is not target %d of this configuration",
+				i, p.Target.Domain, i)
+		}
+	}
+	return nil
+}
+
+// measureTarget runs C1 -> C2 -> C3 for one site, calling each driver
+// once. A transient infrastructure fault (driver.Fault) aborts the target
+// rather than polluting the dataset, while negative measurement results
+// (NXDOMAIN, failed page loads) are recorded as data.
 func (s *Suite) measureTarget(ctx context.Context, t Target) (PageResult, error) {
 	out := PageResult{Target: t}
 	if s.cfg.OptOutSites[t.Domain] {
@@ -380,15 +352,10 @@ func (s *Suite) measureTarget(ctx context.Context, t Target) (PageResult, error)
 		out.Load = PageRecord{Site: t.Domain, FailReason: "volunteer opt-out"}
 		return out, nil
 	}
-	retryID := s.cfg.VolunteerID + "/" + t.Domain
 
 	// C1: browser session. Load errors are infrastructure failures (the
-	// simulator reports unreachable pages as data, not errors), so every
-	// one is retryable.
-	page, err := sched.Do(ctx, s.timer(), s.cfg.DriverRetry, s.cfg.SchedSeed, retryID+"/load",
-		func(ctx context.Context) (PageRecord, error) {
-			return s.env.Browser.Load(ctx, t.Domain)
-		})
+	// simulator reports unreachable pages as data, not errors).
+	page, err := s.env.Browser.Load(ctx, t.Domain)
 	if err != nil {
 		return out, fmt.Errorf("browser: %w", err)
 	}
@@ -398,10 +365,7 @@ func (s *Suite) measureTarget(ctx context.Context, t Target) (PageResult, error)
 	}
 
 	// C2: forward and reverse DNS for every distinct requested domain.
-	type resolution struct {
-		addr  netip.Addr
-		chain []string
-	}
+	chainRes, hasChain := s.env.Resolver.(ChainResolver)
 	seen := map[string]bool{}
 	resolved := map[string]netip.Addr{}
 	for _, req := range page.Requests {
@@ -410,36 +374,31 @@ func (s *Suite) measureTarget(ctx context.Context, t Target) (PageResult, error)
 		}
 		seen[req.Domain] = true
 		rec := DNSRecord{Domain: req.Domain}
-		res, err := sched.Do(ctx, s.timer(), s.cfg.DriverRetry, s.cfg.SchedSeed, retryID+"/resolve/"+req.Domain,
-			func(ctx context.Context) (resolution, error) {
-				var r resolution
-				var err error
-				if chainRes, ok := s.env.Resolver.(ChainResolver); ok {
-					r.addr, r.chain, err = chainRes.ResolveChain(ctx, req.Domain)
-				} else {
-					r.addr, err = s.env.Resolver.Resolve(ctx, req.Domain)
-				}
-				if err != nil && !driver.IsFault(err) {
-					// A definitive negative answer (NXDOMAIN) is a
-					// measurement result; don't burn retries on it.
-					err = sched.Permanent(err)
-				}
-				return r, err
-			})
+		var (
+			addr  netip.Addr
+			chain []string
+			err   error
+		)
+		if hasChain {
+			addr, chain, err = chainRes.ResolveChain(ctx, req.Domain)
+		} else {
+			addr, err = s.env.Resolver.Resolve(ctx, req.Domain)
+		}
 		switch {
-		case err != nil && driver.IsFault(err):
-			// Transient fault survived every retry: abort the attempt so
-			// the fault is never recorded as data.
+		case driver.IsFault(err) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+			// A fault or a cancelled lookup is not an answer: abort the
+			// target so it is never recorded as data.
 			return out, fmt.Errorf("resolver: %w", err)
 		case err != nil:
+			// A definitive negative answer (NXDOMAIN) is data.
 			rec.Err = err.Error()
 		default:
-			rec.Addr = res.addr.String()
-			if len(res.chain) > 1 {
-				rec.CNAMEChain = res.chain
+			rec.Addr = addr.String()
+			if len(chain) > 1 {
+				rec.CNAMEChain = chain
 			}
-			resolved[req.Domain] = res.addr
-			if name, ok := s.env.Resolver.Reverse(ctx, res.addr); ok {
+			resolved[req.Domain] = addr
+			if name, ok := s.env.Resolver.Reverse(ctx, addr); ok {
 				rec.RDNS = name
 			}
 		}
@@ -460,10 +419,7 @@ func (s *Suite) measureTarget(ctx context.Context, t Target) (PageResult, error)
 				continue
 			}
 			traced[addr] = true
-			tr, err := sched.Do(ctx, s.timer(), s.cfg.DriverRetry, s.cfg.SchedSeed, retryID+"/trace/"+addr.String(),
-				func(ctx context.Context) (tracert.Normalized, error) {
-					return s.env.Prober.Traceroute(ctx, addr)
-				})
+			tr, err := s.env.Prober.Traceroute(ctx, addr)
 			if err != nil {
 				return out, fmt.Errorf("prober: %w", err)
 			}

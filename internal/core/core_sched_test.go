@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/netip"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/gamma-suite/gamma/internal/driver"
@@ -14,60 +16,54 @@ import (
 	"github.com/gamma-suite/gamma/internal/tracert"
 )
 
-// faultFirst injects one driver.Fault per key before delegating, modelling a
-// transient infrastructure failure that a retry of the same call absorbs.
-type faultFirst struct {
-	mu   sync.Mutex
-	seen map[string]bool
+// faultOnce injects one driver.Fault the first time its key is called,
+// modelling a transient infrastructure failure on one driver call.
+type faultOnce struct {
+	key   string
+	fired atomic.Bool
 }
 
-func (f *faultFirst) hit(key string) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.seen == nil {
-		f.seen = map[string]bool{}
-	}
-	if f.seen[key] {
+func (f *faultOnce) hit(key string) error {
+	if key != f.key || f.fired.Swap(true) {
 		return nil
 	}
-	f.seen[key] = true
 	return driver.Fault(fmt.Errorf("injected: connection reset (%s)", key))
 }
 
-type faultFirstBrowser struct {
-	faultFirst
+type faultOnceBrowser struct {
+	faultOnce
 	inner Browser
 }
 
-func (b *faultFirstBrowser) Load(ctx context.Context, site string) (PageRecord, error) {
+func (b *faultOnceBrowser) Load(ctx context.Context, site string) (PageRecord, error) {
 	if err := b.hit(site); err != nil {
 		return PageRecord{}, err
 	}
 	return b.inner.Load(ctx, site)
 }
 
-type faultFirstResolver struct {
-	faultFirst
+type faultOnceResolver struct {
+	faultOnce
 	inner Resolver
 }
 
-func (r *faultFirstResolver) Resolve(ctx context.Context, domain string) (netip.Addr, error) {
+func (r *faultOnceResolver) Resolve(ctx context.Context, domain string) (netip.Addr, error) {
 	if err := r.hit(domain); err != nil {
 		return netip.Addr{}, err
 	}
 	return r.inner.Resolve(ctx, domain)
 }
 
-func (r *faultFirstResolver) Reverse(ctx context.Context, addr netip.Addr) (string, bool) {
+func (r *faultOnceResolver) Reverse(ctx context.Context, addr netip.Addr) (string, bool) {
 	return r.inner.Reverse(ctx, addr)
 }
 
-type faultFirstProber struct {
-	faultFirst
+type faultOnceProber struct {
+	faultOnce
 	inner Prober
 }
 
-func (p *faultFirstProber) Traceroute(ctx context.Context, dst netip.Addr) (tracert.Normalized, error) {
+func (p *faultOnceProber) Traceroute(ctx context.Context, dst netip.Addr) (tracert.Normalized, error) {
 	if err := p.hit(dst.String()); err != nil {
 		return tracert.Normalized{}, err
 	}
@@ -101,7 +97,11 @@ func TestNegativeParallelismRejected(t *testing.T) {
 	}
 }
 
-func TestDriverRetryAbsorbsTransientFaults(t *testing.T) {
+// TestDriverFaultFailsTargetOnSingleAttempt pins the suite's side of the
+// one retry layer: a faulted driver call fails its target at once, the
+// fault is never recorded, the pages before it are kept, and a Resume
+// re-measures from the failed target to the fault-free dataset.
+func TestDriverFaultFailsTargetOnSingleAttempt(t *testing.T) {
 	env, _, _ := testEnv()
 	s, err := New(testConfig(), env)
 	if err != nil {
@@ -111,44 +111,94 @@ func TestDriverRetryAbsorbsTransientFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Every fault lands on site-b.example, the second target.
+	cases := []struct {
+		driver string
+		inject func(*Env)
+	}{
+		{"browser", func(e *Env) { e.Browser = &faultOnceBrowser{faultOnce{key: "site-b.example"}, e.Browser} }},
+		{"resolver", func(e *Env) { e.Resolver = &faultOnceResolver{faultOnce{key: "static.site-b.example"}, e.Resolver} }},
+		{"prober", func(e *Env) { e.Prober = &faultOnceProber{faultOnce{key: "20.0.0.4"}, e.Prober} }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.driver, func(t *testing.T) {
+			env, _, _ := testEnv()
+			tc.inject(&env)
+			s, err := New(testConfig(), env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ds, err := s.Run(context.Background())
+			if err == nil || !strings.Contains(err.Error(), "site-b.example") || !strings.Contains(err.Error(), tc.driver) {
+				t.Fatalf("a faulted %s call must fail site-b.example: %v", tc.driver, err)
+			}
+			if !driver.IsFault(err) {
+				t.Errorf("the target error must keep the fault marker: %v", err)
+			}
+			if got := string(datasetJSON(t, ds)); strings.Contains(got, "injected") {
+				t.Error("the fault was recorded as data")
+			}
+			if len(ds.Pages) != 1 || ds.Pages[0].Target.Domain != "site-a.example" {
+				t.Fatalf("pages = %+v, want only the page before the fault", ds.Pages)
+			}
+			if err := s.Resume(context.Background(), ds); err != nil {
+				t.Fatal(err)
+			}
+			if string(datasetJSON(t, ds)) != string(datasetJSON(t, want)) {
+				t.Error("resuming past the fault must reproduce the fault-free dataset")
+			}
+		})
+	}
+}
 
-	flakyEnv, _, _ := testEnv()
-	flakyEnv.Browser = &faultFirstBrowser{inner: flakyEnv.Browser}
-	flakyEnv.Resolver = &faultFirstResolver{inner: flakyEnv.Resolver}
-	flakyEnv.Prober = &faultFirstProber{inner: flakyEnv.Prober}
-	cfg := testConfig()
-	cfg.DriverRetry = sched.RetryPolicy{MaxAttempts: 3}
-	fs, err := New(cfg, flakyEnv)
+// cancelledResolver answers every lookup with the context's cancellation,
+// as a field resolver does when its attempt is abandoned.
+type cancelledResolver struct{ Resolver }
+
+func (cancelledResolver) Resolve(context.Context, string) (netip.Addr, error) {
+	return netip.Addr{}, fmt.Errorf("lookup: %w", context.Canceled)
+}
+
+func TestCancelledLookupNotRecorded(t *testing.T) {
+	env, _, _ := testEnv()
+	env.Resolver = cancelledResolver{env.Resolver}
+	s, err := New(testConfig(), env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := fs.Run(context.Background())
-	if err != nil {
-		t.Fatalf("retries should absorb every injected fault: %v", err)
+	ds, err := s.Run(context.Background())
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("a cancelled lookup must abort the run: %v", err)
 	}
-	if string(datasetJSON(t, got)) != string(datasetJSON(t, want)) {
-		t.Error("dataset with retried transient faults must be byte-identical to the fault-free dataset")
+	if len(ds.Pages) != 0 {
+		t.Errorf("a cancelled lookup was recorded: %+v", ds.Pages)
 	}
 }
 
 func TestDriverFaultExhaustionFailsTarget(t *testing.T) {
 	env, _, _ := testEnv()
-	env.Browser = &alwaysFaultBrowser{}
-	cfg := testConfig()
-	cfg.DriverRetry = sched.RetryPolicy{MaxAttempts: 2}
-	s, err := New(cfg, env)
+	b := &alwaysFaultBrowser{}
+	env.Browser = b
+	s, err := New(testConfig(), env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = s.Run(context.Background())
+	ds, err := s.Run(context.Background())
 	if err == nil || !strings.Contains(err.Error(), "browser") {
-		t.Fatalf("exhausted driver retries must fail the run: %v", err)
+		t.Fatalf("a persistent driver fault must fail the run: %v", err)
+	}
+	if n := b.loads.Load(); n != 1 {
+		t.Errorf("browser loaded %d times, want one attempt", n)
+	}
+	if len(ds.Pages) != 0 {
+		t.Errorf("pages = %d, want none", len(ds.Pages))
 	}
 }
 
-type alwaysFaultBrowser struct{}
+type alwaysFaultBrowser struct{ loads atomic.Int64 }
 
-func (alwaysFaultBrowser) Load(context.Context, string) (PageRecord, error) {
+func (b *alwaysFaultBrowser) Load(context.Context, string) (PageRecord, error) {
+	b.loads.Add(1)
 	return PageRecord{}, driver.Fault(fmt.Errorf("injected: network down"))
 }
 
@@ -183,9 +233,7 @@ func TestNXDOMAINRecordedNotRetried(t *testing.T) {
 		"t.tracker.example":     "20.0.0.9",
 	}}}
 	env.Resolver = cr
-	cfg := testConfig()
-	cfg.DriverRetry = sched.RetryPolicy{MaxAttempts: 5}
-	s, err := New(cfg, env)
+	s, err := New(testConfig(), env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,9 +242,9 @@ func TestNXDOMAINRecordedNotRetried(t *testing.T) {
 		t.Fatal(err)
 	}
 	// static.site-a.example is unknown to the fake resolver: a definitive
-	// NXDOMAIN is data, so it must be recorded once, not retried 5 times.
+	// NXDOMAIN is data, so it must be resolved once and recorded.
 	if n := cr.calls["static.site-a.example"]; n != 1 {
-		t.Errorf("NXDOMAIN resolved %d times, want 1 (no retry on permanent answers)", n)
+		t.Errorf("NXDOMAIN resolved %d times, want 1", n)
 	}
 	var rec *DNSRecord
 	for _, p := range ds.Pages {
@@ -211,63 +259,73 @@ func TestNXDOMAINRecordedNotRetried(t *testing.T) {
 	}
 }
 
-// failFirstTargetBrowser fails its very first load with a plain (non-fault)
-// error, so the whole target attempt fails and only TargetRetry can save it.
-type failFirstTargetBrowser struct {
-	inner Browser
-	mu    sync.Mutex
-	calls int
-}
-
-func (b *failFirstTargetBrowser) Load(ctx context.Context, site string) (PageRecord, error) {
-	b.mu.Lock()
-	b.calls++
-	first := b.calls == 1
-	b.mu.Unlock()
-	if first {
-		return PageRecord{}, fmt.Errorf("injected: browser crashed")
-	}
-	return b.inner.Load(ctx, site)
-}
-
-func TestTargetRetryRerunsWholeTarget(t *testing.T) {
+func TestResumeRejectsForeignDataset(t *testing.T) {
 	env, _, _ := testEnv()
-	s, _ := New(testConfig(), env)
-	want, err := s.Run(context.Background())
+	s, err := New(testConfig(), env)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ds, err := s.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds.Pages = ds.Pages[:2]
+	before := string(datasetJSON(t, ds))
 
-	env2, _, _ := testEnv()
-	env2.Browser = &failFirstTargetBrowser{inner: env2.Browser}
-	cfg := testConfig()
-	cfg.TargetRetry = sched.RetryPolicy{MaxAttempts: 2}
-	s2, err := New(cfg, env2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := s2.Run(context.Background())
-	if err != nil {
-		t.Fatalf("target retry should rerun the failed target: %v", err)
-	}
-	if string(datasetJSON(t, got)) != string(datasetJSON(t, want)) {
-		t.Error("retried target must reproduce the fault-free dataset")
-	}
-	st := s2.SchedStats()
-	if st.Retries < 1 || st.Succeeded != len(testConfig().Targets) {
-		t.Errorf("stats should show the retry: %+v", st)
+	// Same volunteer, another target list: a world built from another
+	// seed selects other sites for the same country.
+	reordered := testConfig()
+	reordered.Targets[0], reordered.Targets[1] = reordered.Targets[1], reordered.Targets[0]
+	shorter := testConfig()
+	shorter.Targets = shorter.Targets[:1]
+	otherVolunteer := testConfig()
+	otherVolunteer.VolunteerID = "vol-other"
+	otherCountry := testConfig()
+	otherCountry.Country = "AE"
+	for name, tc := range map[string]struct {
+		cfg  Config
+		want string
+	}{
+		"reordered targets": {reordered, "site-a.example"},
+		"fewer targets":     {shorter, "site-b.example"},
+		"other volunteer":   {otherVolunteer, "vol-test"},
+		"other country":     {otherCountry, "PK"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			env, fb, _ := testEnv()
+			s, err := New(tc.cfg, env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = s.Resume(context.Background(), ds)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("resume must name %s: %v", tc.want, err)
+			}
+			if !sched.IsPermanent(err) {
+				t.Errorf("no retry can fix a foreign dataset; the error must be permanent: %v", err)
+			}
+			if fb.loads.Load() != 0 {
+				t.Error("a rejected resume must measure nothing")
+			}
+			if string(datasetJSON(t, ds)) != before {
+				t.Error("a rejected resume must leave the dataset untouched")
+			}
+		})
 	}
 }
 
-func TestSchedStatsCount(t *testing.T) {
-	env, _, _ := testEnv()
-	s, _ := New(testConfig(), env)
-	if _, err := s.Run(context.Background()); err != nil {
+func TestResumeLimitRejectsNegative(t *testing.T) {
+	env, fb, _ := testEnv()
+	s, err := New(testConfig(), env)
+	if err != nil {
 		t.Fatal(err)
 	}
-	st := s.SchedStats()
-	n := len(testConfig().Targets)
-	if st.Units != n || st.Succeeded != n || st.Attempts != n || st.Failed != 0 {
-		t.Errorf("stats = %+v, want %d clean units", st, n)
+	ds := s.NewDataset()
+	err = s.ResumeLimit(context.Background(), ds, -3)
+	if err == nil || !strings.Contains(err.Error(), "limit") || !strings.Contains(err.Error(), "-3") {
+		t.Fatalf("a negative limit must be rejected, naming the field and value: %v", err)
+	}
+	if fb.loads.Load() != 0 || len(ds.Pages) != 0 {
+		t.Error("a rejected limit must measure nothing")
 	}
 }

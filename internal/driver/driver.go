@@ -3,12 +3,11 @@
 // C2 forward/reverse DNS, C3 active probes) and the records they produce.
 // In the field these are Selenium, the system resolver, and the OS
 // traceroute/tracert tools; in this repository they are backed by the
-// simulation substrates and, for fault testing, by the sched package's
-// flaky decorators.
+// simulation substrates, which tests decorate to inject transient faults.
 //
 // The package is a dependency leaf (it imports only tracert for the
-// normalized probe schema) so that both gammacore and the scheduler can
-// reference the same driver contracts without an import cycle.
+// normalized probe schema), so drivers and their decorators can implement
+// the contracts without importing gammacore.
 package driver
 
 import (
@@ -79,9 +78,9 @@ func (e *faultError) Unwrap() error { return e.err }
 // Fault marks err as a transient driver/infrastructure failure — the
 // measurement could not be carried out (browser crashed, resolver
 // unreachable, probe socket error) — as opposed to a negative measurement
-// *result* such as NXDOMAIN, which is data the suite records. The suite
-// retries faults and aborts the target when they persist; it never writes
-// them into a dataset.
+// *result* such as NXDOMAIN, which is data the suite records. A fault
+// aborts its target and is never written into a dataset; the campaign's
+// volunteer retry resumes from that target.
 func Fault(err error) error {
 	if err == nil {
 		return nil

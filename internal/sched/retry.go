@@ -93,35 +93,3 @@ func retryable(err error) bool {
 		!errors.Is(err, context.Canceled) &&
 		!errors.Is(err, context.DeadlineExceeded)
 }
-
-// Do runs fn under the policy: attempts until success, a terminal error,
-// context cancellation, or attempt exhaustion, waiting the deterministic
-// keyed backoff between attempts on clk (nil uses the wall clock). It is
-// the call-level façade of the scheduler — gammacore wraps individual
-// driver calls (a page load, one resolution, one traceroute) in Do so
-// transient faults are absorbed at the cheapest possible level.
-func Do[T any](ctx context.Context, clk Clock, p RetryPolicy, seed uint64, id string, fn func(context.Context) (T, error)) (T, error) {
-	if clk == nil {
-		clk = Wall()
-	}
-	var (
-		val T
-		err error
-	)
-	for attempt := 1; ; attempt++ {
-		if cerr := ctx.Err(); cerr != nil {
-			return val, cerr
-		}
-		val, err = fn(ctx)
-		if err == nil || !retryable(err) || attempt >= p.attempts() {
-			return val, err
-		}
-		if d := p.Delay(seed, id, attempt); d > 0 {
-			select {
-			case <-clk.After(d):
-			case <-ctx.Done():
-				return val, ctx.Err()
-			}
-		}
-	}
-}

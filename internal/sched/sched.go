@@ -10,11 +10,9 @@
 // time is an injectable Clock, so identical seeds produce byte-identical
 // campaign results regardless of worker count — and tests never sleep.
 //
-// The package also ships fault-injection decorators (FlakyBrowser,
-// FlakyResolver, FlakyProber) wrapping the driver interfaces, with failure
-// draws keyed the same way, so transient-failure behaviour is testable end
-// to end: a faulty run that retries to success is byte-identical to the
-// fault-free run.
+// Pool is the only retry layer: the study campaign retries whole
+// volunteers with it, and each retry resumes the volunteer's dataset. The
+// suite runs its targets through a Pool too, but with one attempt each.
 package sched
 
 import (

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/gamma-suite/gamma/internal/driver"
 	"github.com/gamma-suite/gamma/internal/rng"
 )
 
@@ -74,77 +75,20 @@ func TestPermanentMarkerTransparent(t *testing.T) {
 	}
 }
 
-// --- Do (call-level retry) ---
-
-func TestDoRetriesUntilSuccess(t *testing.T) {
-	calls := 0
-	v, err := Do(context.Background(), nil, RetryPolicy{MaxAttempts: 5}, 1, "op",
-		func(context.Context) (int, error) {
-			calls++
-			if calls < 3 {
-				return 0, fmt.Errorf("transient %d", calls)
-			}
-			return 99, nil
-		})
-	if err != nil || v != 99 || calls != 3 {
-		t.Fatalf("Do = (%d, %v) after %d calls; want (99, nil) after 3", v, err, calls)
+func TestFaultMarkerTransparent(t *testing.T) {
+	base := fmt.Errorf("connection reset")
+	f := driver.Fault(base)
+	if f.Error() != base.Error() {
+		t.Errorf("Fault must not change error text: %q", f.Error())
 	}
-}
-
-func TestDoStopsOnPermanent(t *testing.T) {
-	calls := 0
-	_, err := Do(context.Background(), nil, RetryPolicy{MaxAttempts: 5}, 1, "op",
-		func(context.Context) (int, error) {
-			calls++
-			return 0, Permanent(fmt.Errorf("no such host"))
-		})
-	if calls != 1 {
-		t.Errorf("permanent error retried %d times", calls)
+	if !driver.IsFault(f) || driver.IsFault(base) {
+		t.Error("IsFault misclassifies")
 	}
-	if !IsPermanent(err) {
-		t.Error("terminal error should surface")
+	if !retryable(f) {
+		t.Error("a transient driver fault must be retryable by the pool")
 	}
-}
-
-func TestDoExhaustsAttempts(t *testing.T) {
-	calls := 0
-	_, err := Do(context.Background(), nil, RetryPolicy{MaxAttempts: 4}, 1, "op",
-		func(context.Context) (int, error) {
-			calls++
-			return 0, fmt.Errorf("still down")
-		})
-	if calls != 4 || err == nil {
-		t.Fatalf("calls = %d, err = %v; want 4 attempts then the last error", calls, err)
-	}
-}
-
-func TestDoBackoffUsesClockNoRealSleep(t *testing.T) {
-	clk := NewFakeClock(studyEpoch())
-	done := make(chan struct{})
-	var calls atomic.Int64
-	go func() {
-		defer close(done)
-		_, err := Do(context.Background(), clk, RetryPolicy{MaxAttempts: 3, BaseDelay: time.Minute}, 7, "op",
-			func(context.Context) (int, error) {
-				if calls.Add(1) < 3 {
-					return 0, fmt.Errorf("transient")
-				}
-				return 1, nil
-			})
-		if err != nil {
-			t.Errorf("Do: %v", err)
-		}
-	}()
-	for i := 0; i < 2; i++ {
-		want := time.Duration(1<<i) * time.Minute // base, then doubled
-		clk.BlockUntilWaiters(1)
-		if step := clk.AdvanceToNext(); step != want {
-			t.Errorf("backoff %d: waited %v, want %v", i+1, step, want)
-		}
-	}
-	<-done
-	if calls.Load() != 3 {
-		t.Errorf("calls = %d, want 3", calls.Load())
+	if driver.Fault(nil) != nil {
+		t.Error("Fault(nil) must be nil")
 	}
 }
 
