@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net/netip"
-	"os"
-	"path/filepath"
 	"sync/atomic"
 	"testing"
 
@@ -267,26 +265,6 @@ func TestAnonymize(t *testing.T) {
 	}
 }
 
-func TestSaveLoadDataset(t *testing.T) {
-	env, _, _ := testEnv()
-	s, _ := New(testConfig(), env)
-	ds, _ := s.Run(context.Background())
-	path := filepath.Join(t.TempDir(), "data", "vol-test.json")
-	if err := SaveDataset(path, ds); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadDataset(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.VolunteerID != ds.VolunteerID || len(got.Pages) != len(ds.Pages) {
-		t.Error("dataset did not round-trip")
-	}
-	if _, err := LoadDataset(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Error("missing file must error")
-	}
-}
-
 func TestContextCancellation(t *testing.T) {
 	env, _, _ := testEnv()
 	s, _ := New(testConfig(), env)
@@ -294,32 +272,5 @@ func TestContextCancellation(t *testing.T) {
 	cancel()
 	if _, err := s.Run(ctx); err == nil {
 		t.Error("cancelled context should surface an error")
-	}
-}
-
-func TestSaveLoadDatasetGzip(t *testing.T) {
-	env, _, _ := testEnv()
-	s, _ := New(testConfig(), env)
-	ds, _ := s.Run(context.Background())
-	dir := t.TempDir()
-	plain := filepath.Join(dir, "d.json")
-	zipped := filepath.Join(dir, "d.json.gz")
-	if err := SaveDataset(plain, ds); err != nil {
-		t.Fatal(err)
-	}
-	if err := SaveDataset(zipped, ds); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadDataset(zipped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.VolunteerID != ds.VolunteerID || len(got.Pages) != len(ds.Pages) {
-		t.Error("gzip round trip mismatch")
-	}
-	pi, _ := os.Stat(plain)
-	zi, _ := os.Stat(zipped)
-	if zi.Size() >= pi.Size() {
-		t.Errorf("gzip (%d) should be smaller than plain (%d)", zi.Size(), pi.Size())
 	}
 }

@@ -405,6 +405,9 @@ func processCountry(env Env, match *matchers, fw *geoloc.Framework, ds *core.Dat
 	if !ok {
 		return nil, fmt.Errorf("unknown volunteer city %q", ds.City)
 	}
+	if volCity.Country != ds.Country {
+		return nil, fmt.Errorf("volunteer city %q is not in country %s", ds.City, ds.Country)
+	}
 	cr := &CountryResult{
 		Country:  ds.Country,
 		City:     volCity,

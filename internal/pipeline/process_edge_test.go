@@ -71,6 +71,13 @@ func TestProcessEdgeCases(t *testing.T) {
 			},
 			wantErr: "duplicate country PK",
 		},
+		{
+			name: "city in another country",
+			datasets: func() []*core.Dataset {
+				return []*core.Dataset{emptyDataset("EG", "Karachi, PK")}
+			},
+			wantErr: `volunteer city "Karachi, PK" is not in country EG`,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
