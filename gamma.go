@@ -144,8 +144,10 @@ func (s simResolver) Reverse(_ context.Context, addr netip.Addr) (string, bool) 
 // simProber launches simulated traceroutes and round-trips them through
 // the OS-specific output format the volunteer's machine would produce,
 // exercising the tracert portability layer on the hot path. It owns a
-// reusable trace buffer; the mutex keeps the prober safe for concurrent
-// probes even though each volunteer runs single-threaded by default.
+// reusable trace buffer and a reusable output buffer, so a probe
+// allocates only the Normalized it returns; the mutex keeps the prober
+// safe for concurrent probes even though each volunteer runs
+// single-threaded by default.
 type simProber struct {
 	net       *netsim.Network
 	vantageID string
@@ -153,23 +155,23 @@ type simProber struct {
 
 	mu  sync.Mutex
 	buf netsim.TraceBuf
+	out []byte
 }
 
 func (s *simProber) Traceroute(_ context.Context, dst netip.Addr) (tracert.Normalized, error) {
-	// The trace result aliases the reusable buffer, so the lock is held
-	// until Render has serialized it.
+	// The trace result aliases buf and the rendered text lives in out, so
+	// the lock is held until Parse has copied what it keeps.
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	res, err := s.net.TracerouteInto(s.vantageID, dst, &s.buf)
 	if err != nil {
-		s.mu.Unlock()
 		return tracert.Normalized{}, err
 	}
-	text, err := tracert.Render(res, s.format)
-	s.mu.Unlock()
+	s.out, err = tracert.AppendRender(s.out[:0], res, s.format)
 	if err != nil {
 		return tracert.Normalized{}, err
 	}
-	return tracert.Parse(text)
+	return tracert.Parse(s.out)
 }
 
 // volunteerOS picks the probe-output dialect for a volunteer's machine:

@@ -2,6 +2,7 @@ package gamma_test
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -148,20 +149,24 @@ func TestRunVolunteerOptOuts(t *testing.T) {
 	}
 }
 
+// TestVolunteerDatasetRoundTrip: every dataset the study records, with
+// its parsed traceroutes and pre-sized DNS and traceroute lists, loads
+// back deep-equal to what was saved.
 func TestVolunteerDatasetRoundTrip(t *testing.T) {
 	study := fullStudy(t)
 	dir := t.TempDir()
-	ds := study.Datasets["TH"]
-	path := dir + "/th.json"
-	if err := core.SaveDataset(path, ds); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := core.LoadDataset(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Country != "TH" || len(loaded.Pages) != len(ds.Pages) {
-		t.Error("dataset round-trip mismatch")
+	for cc, ds := range study.Datasets {
+		path := dir + "/" + cc + ".json"
+		if err := core.SaveDataset(path, ds); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := core.LoadDataset(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(loaded, ds) {
+			t.Errorf("%s: dataset round-trip mismatch", cc)
+		}
 	}
 }
 

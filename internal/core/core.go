@@ -365,14 +365,25 @@ func (s *Suite) measureTarget(ctx context.Context, t Target) (PageResult, error)
 	}
 
 	// C2: forward and reverse DNS for every distinct requested domain.
-	chainRes, hasChain := s.env.Resolver.(ChainResolver)
-	seen := map[string]bool{}
-	resolved := map[string]netip.Addr{}
+	// Counting the distinct unblocked domains first sizes the records and
+	// maps once; done flips to true as each domain is measured.
+	done := map[string]bool{}
 	for _, req := range page.Requests {
-		if req.Blocked || seen[req.Domain] {
+		if !req.Blocked {
+			done[req.Domain] = false
+		}
+	}
+	domains := len(done)
+	if domains > 0 {
+		out.DNS = make([]DNSRecord, 0, domains)
+	}
+	chainRes, hasChain := s.env.Resolver.(ChainResolver)
+	resolved := make(map[string]netip.Addr, domains)
+	for _, req := range page.Requests {
+		if req.Blocked || done[req.Domain] {
 			continue
 		}
-		seen[req.Domain] = true
+		done[req.Domain] = true
 		rec := DNSRecord{Domain: req.Domain}
 		var (
 			addr  netip.Addr
@@ -411,8 +422,11 @@ func (s *Suite) measureTarget(ctx context.Context, t Target) (PageResult, error)
 	}
 
 	// C3: traceroute to every resolved IP (deduplicated per page).
-	if s.cfg.TracerouteEnabled && s.env.Prober != nil {
-		traced := map[netip.Addr]bool{}
+	if s.cfg.TracerouteEnabled && s.env.Prober != nil && len(resolved) > 0 {
+		// At most one trace per resolved domain; fewer when domains share
+		// an address.
+		out.Traceroutes = make([]tracert.Normalized, 0, len(resolved))
+		traced := make(map[netip.Addr]bool, len(resolved))
 		for _, rec := range out.DNS {
 			addr, ok := resolved[rec.Domain]
 			if !ok || traced[addr] {

@@ -101,6 +101,61 @@ func testConfig() Config {
 	}
 }
 
+// allBlockedBrowser loads pages whose every request the filter blocked.
+type allBlockedBrowser struct{}
+
+func (allBlockedBrowser) Load(_ context.Context, site string) (PageRecord, error) {
+	return PageRecord{Site: site, OK: true, Requests: []RequestRecord{
+		{URL: "https://" + site + "/", Domain: site, Type: "document", Blocked: true},
+	}}, nil
+}
+
+// TestMeasureTargetSizing: measureTarget sizes its DNS and traceroute
+// lists from the page's distinct unblocked domains, and an empty list
+// stays nil, as the dataset's JSON (omitempty) would load it back.
+func TestMeasureTargetSizing(t *testing.T) {
+	ctx := context.Background()
+	target := Target{Domain: "site-a.example", Kind: KindRegional}
+
+	env, _, _ := testEnv()
+	s, err := New(testConfig(), env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := s.measureTarget(ctx, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.DNS) != 3 || cap(p.DNS) != 3 {
+		t.Errorf("DNS len %d cap %d, want 3 and 3 (three distinct unblocked domains)", len(p.DNS), cap(p.DNS))
+	}
+	if len(p.Traceroutes) != 3 || cap(p.Traceroutes) != 3 {
+		t.Errorf("Traceroutes len %d cap %d, want 3 and 3", len(p.Traceroutes), cap(p.Traceroutes))
+	}
+
+	env.Resolver = &fakeResolver{} // every lookup is NXDOMAIN
+	if s, err = New(testConfig(), env); err != nil {
+		t.Fatal(err)
+	}
+	if p, err = s.measureTarget(ctx, target); err != nil {
+		t.Fatal(err)
+	}
+	if len(p.DNS) != 3 || p.Traceroutes != nil {
+		t.Errorf("all-NXDOMAIN page: %d DNS records, Traceroutes %#v; want 3 and nil", len(p.DNS), p.Traceroutes)
+	}
+
+	env.Browser = allBlockedBrowser{}
+	if s, err = New(testConfig(), env); err != nil {
+		t.Fatal(err)
+	}
+	if p, err = s.measureTarget(ctx, target); err != nil {
+		t.Fatal(err)
+	}
+	if p.DNS != nil || p.Traceroutes != nil {
+		t.Errorf("all-blocked page: DNS %#v, Traceroutes %#v; want nil and nil", p.DNS, p.Traceroutes)
+	}
+}
+
 func TestRunFullPipeline(t *testing.T) {
 	env, fb, fp := testEnv()
 	s, err := New(testConfig(), env)

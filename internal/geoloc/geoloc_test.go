@@ -255,6 +255,46 @@ func TestCleanLatency(t *testing.T) {
 	}
 }
 
+// TestResultLatencyMatchesCleanLatency: the destination constraint reads
+// its latency straight off the simulator result; it must equal the
+// normalize-then-clean path it replaced, on every trace shape.
+func TestResultLatencyMatchesCleanLatency(t *testing.T) {
+	a := netip.MustParseAddr("198.18.0.1")
+	dst := netip.MustParseAddr("20.0.0.7")
+	silent := func(i int) netsim.Hop { return netsim.Hop{Index: i} }
+	hop := func(i int, at netip.Addr, rtts ...float64) netsim.Hop {
+		return netsim.Hop{Index: i, Addr: at, Responded: true, RTTMs: rtts}
+	}
+	cases := []struct {
+		name string
+		res  netsim.TraceResult
+	}{
+		{"reached", netsim.TraceResult{Dst: dst, Reached: true, Hops: []netsim.Hop{
+			hop(1, a, 4.1, 3.9, 4.5), silent(2), hop(3, dst, 22.7, 23.1, 22.9)}}},
+		{"unreached", netsim.TraceResult{Dst: dst, Hops: []netsim.Hop{
+			hop(1, a, 4.1, 3.9, 4.5), silent(2), silent(3)}}},
+		{"unreached with answering hops", netsim.TraceResult{Dst: dst, Hops: []netsim.Hop{
+			hop(1, a, 4.1), hop(2, a, 9.5)}}},
+		{"silent first hops", netsim.TraceResult{Dst: dst, Reached: true, Hops: []netsim.Hop{
+			silent(1), silent(2), hop(3, a, 7.5, 7.2), hop(4, dst, 30, 29.5, 31)}}},
+		{"responded without samples", netsim.TraceResult{Dst: dst, Reached: true, Hops: []netsim.Hop{
+			hop(1, a), hop(2, a, 5), hop(3, dst, 40), hop(4, dst)}}},
+		{"samples on a silent hop", netsim.TraceResult{Dst: dst, Reached: true, Hops: []netsim.Hop{
+			{Index: 1, RTTMs: []float64{2}}, hop(2, dst, 12)}}},
+		{"first hop slower than last", netsim.TraceResult{Dst: dst, Reached: true, Hops: []netsim.Hop{
+			hop(1, a, 60), hop(2, dst, 50)}}},
+		{"single hop", netsim.TraceResult{Dst: dst, Reached: true, Hops: []netsim.Hop{hop(1, dst, 3, 2)}}},
+		{"no hops", netsim.TraceResult{Dst: dst, Reached: true}},
+		{"all silent", netsim.TraceResult{Dst: dst, Reached: true, Hops: []netsim.Hop{silent(1), silent(2)}}},
+	}
+	for _, tc := range cases {
+		want := CleanLatency(tracert.FromResult(tc.res))
+		if got := resultLatency(tc.res); got != want {
+			t.Errorf("%s: resultLatency = %v, CleanLatency(FromResult) = %v", tc.name, got, want)
+		}
+	}
+}
+
 func TestDestinationCacheReusesResults(t *testing.T) {
 	f := newFixture(t)
 	tr := f.reachedTrace(t, f.parisHost.Addr)

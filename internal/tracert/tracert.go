@@ -2,17 +2,15 @@
 // paper). Field deployments cannot rely on one tool: Scapy's raw sockets
 // are unavailable on Windows, so Gamma shells out to the OS tool — Linux
 // `traceroute` or Windows `tracert` — whose outputs have different shapes.
-// This package renders and parses all three formats and normalizes every
-// one of them into an identical JSON structure with hop and RTT
-// information, eliminating output variability downstream.
+// This package renders and parses those dialects, plus scapy JSON and
+// `mtr --report`, and normalizes every one of them into an identical JSON
+// structure with hop and RTT information, eliminating output variability
+// downstream.
 package tracert
 
 import (
 	"encoding/json"
 	"fmt"
-	"math"
-	"strconv"
-	"strings"
 
 	"github.com/gamma-suite/gamma/internal/netsim"
 )
@@ -112,437 +110,4 @@ func FromResult(res netsim.TraceResult) Normalized {
 		out.Hops = append(out.Hops, nh)
 	}
 	return out
-}
-
-// Render produces the tool's native text output for a simulator result,
-// byte-compatible with what the parsers in this package accept.
-func Render(res netsim.TraceResult, f Format) (string, error) {
-	switch f {
-	case FormatLinux:
-		return renderLinux(res), nil
-	case FormatWindows:
-		return renderWindows(res), nil
-	case FormatScapy:
-		return renderScapy(res)
-	case FormatMTR:
-		return renderMTR(res), nil
-	default:
-		return "", fmt.Errorf("tracert: unknown format %v", f)
-	}
-}
-
-// renderMTR emits `mtr --report` style output: one summary row per hop.
-// The bytes match the original fmt.Fprintf implementation exactly (see
-// the differential test against the reference renderers).
-func renderMTR(res netsim.TraceResult) string {
-	b := make([]byte, 0, 128+len(res.Hops)*88)
-	b = append(b, "Start: 2024-03-16T09:00:00+0000\n"...)
-	b = append(b, "HOST: gamma-volunteer -> "...)
-	b = appendAddr(b, res.Dst)
-	b = append(b, "    Loss%   Snt   Last   Avg  Best  Wrst StDev\n"...)
-	for _, h := range res.Hops {
-		b = appendPadInt(b, int64(h.Index), 3)
-		if !h.Responded {
-			b = append(b, ".|-- ???                      100.0     3    0.0   0.0   0.0   0.0   0.0\n"...)
-			continue
-		}
-		best, wrst, sum := math.Inf(1), 0.0, 0.0
-		for _, v := range h.RTTMs {
-			if v < best {
-				best = v
-			}
-			if v > wrst {
-				wrst = v
-			}
-			sum += v
-		}
-		avg := sum / float64(len(h.RTTMs))
-		var ss float64
-		for _, v := range h.RTTMs {
-			ss += (v - avg) * (v - avg)
-		}
-		stdev := math.Sqrt(ss / float64(len(h.RTTMs)))
-		last := h.RTTMs[len(h.RTTMs)-1]
-		b = append(b, ".|-- "...)
-		addrStart := len(b)
-		b = appendAddr(b, h.Addr)
-		for len(b)-addrStart < 22 { // %-22s left justification
-			b = append(b, ' ')
-		}
-		b = append(b, "   0.0%   "...)
-		b = appendPadInt(b, int64(len(h.RTTMs)), 3)
-		b = append(b, ' ', ' ')
-		b = appendPadFloat(b, last, 5, 1)
-		b = append(b, ' ')
-		b = appendPadFloat(b, avg, 5, 1)
-		b = append(b, ' ')
-		b = appendPadFloat(b, best, 5, 1)
-		b = append(b, ' ')
-		b = appendPadFloat(b, wrst, 5, 1)
-		b = append(b, ' ', ' ')
-		b = appendPadFloat(b, stdev, 4, 1)
-		b = append(b, '\n')
-	}
-	return string(b)
-}
-
-// ParseMTR parses `mtr --report` output. Only Best/Avg/Wrst are
-// recoverable; they become the normalized probe samples.
-func ParseMTR(text string) (Normalized, error) {
-	if asciiSimple(text) {
-		return parseMTRFast(text)
-	}
-	return parseMTRSlow(text)
-}
-
-func parseMTRSlow(text string) (Normalized, error) {
-	lines := strings.Split(strings.TrimSpace(text), "\n")
-	var out Normalized
-	for _, line := range lines {
-		line = strings.TrimSpace(line)
-		if strings.HasPrefix(line, "HOST:") {
-			fields := strings.Fields(line)
-			for i, f := range fields {
-				if f == "->" && i+1 < len(fields) {
-					out.Target = fields[i+1]
-				}
-			}
-			continue
-		}
-		sep := strings.Index(line, ".|--")
-		if sep < 0 {
-			continue
-		}
-		idx, err := strconv.Atoi(strings.TrimSpace(line[:sep]))
-		if err != nil {
-			continue
-		}
-		fields := strings.Fields(line[sep+len(".|--"):])
-		hop := NormHop{Hop: idx}
-		if len(fields) >= 7 && fields[0] != "???" {
-			hop.Addr = fields[0]
-			// fields: addr loss% snt last avg best wrst stdev
-			best, err1 := strconv.ParseFloat(fields[5], 64)
-			avg, err2 := strconv.ParseFloat(fields[4], 64)
-			wrst, err3 := strconv.ParseFloat(fields[6], 64)
-			if err1 == nil && err2 == nil && err3 == nil {
-				hop.RTTMs = []float64{best, avg, wrst}
-			}
-		}
-		out.Hops = append(out.Hops, hop)
-	}
-	if out.Target == "" {
-		return Normalized{}, fmt.Errorf("tracert: not mtr output")
-	}
-	out.Reached = reached(out)
-	return out, nil
-}
-
-func renderLinux(res netsim.TraceResult) string {
-	b := make([]byte, 0, 96+len(res.Hops)*80)
-	b = append(b, "traceroute to "...)
-	b = appendAddr(b, res.Dst)
-	b = append(b, " ("...)
-	b = appendAddr(b, res.Dst)
-	b = append(b, "), 30 hops max, 60 byte packets\n"...)
-	for _, h := range res.Hops {
-		b = appendPadInt(b, int64(h.Index), 2)
-		if !h.Responded {
-			b = append(b, "  * * *\n"...)
-			continue
-		}
-		b = append(b, ' ', ' ')
-		b = appendAddr(b, h.Addr)
-		b = append(b, " ("...)
-		b = appendAddr(b, h.Addr)
-		b = append(b, ')')
-		for _, rtt := range h.RTTMs {
-			b = append(b, ' ', ' ')
-			b = appendFixedFloat(b, rtt, 3)
-			b = append(b, " ms"...)
-		}
-		b = append(b, '\n')
-	}
-	return string(b)
-}
-
-func renderWindows(res netsim.TraceResult) string {
-	b := make([]byte, 0, 128+len(res.Hops)*64)
-	b = append(b, "\nTracing route to "...)
-	b = appendAddr(b, res.Dst)
-	b = append(b, " over a maximum of 30 hops\n\n"...)
-	for _, h := range res.Hops {
-		b = appendPadInt(b, int64(h.Index), 3)
-		if !h.Responded {
-			b = append(b, "     *        *        *     Request timed out.\n"...)
-			continue
-		}
-		for _, rtt := range h.RTTMs {
-			ms := int(math.Round(rtt))
-			if ms < 1 {
-				b = append(b, "    <1 ms"...)
-			} else {
-				b = append(b, ' ', ' ')
-				b = appendPadInt(b, int64(ms), 4)
-				b = append(b, " ms"...)
-			}
-		}
-		b = append(b, ' ', ' ')
-		b = appendAddr(b, h.Addr)
-		b = append(b, '\n')
-	}
-	b = append(b, "\nTrace complete.\n"...)
-	return string(b)
-}
-
-// scapyRecord mirrors the JSON a scapy sr() post-processing script emits.
-type scapyRecord struct {
-	Target string     `json:"target"`
-	Hops   []scapyHop `json:"hops"`
-}
-
-type scapyHop struct {
-	TTL  int       `json:"ttl"`
-	Src  string    `json:"src,omitempty"`
-	RTTs []float64 `json:"rtts_s,omitempty"` // scapy reports seconds
-}
-
-func renderScapy(res netsim.TraceResult) (string, error) {
-	// Hand-rolled marshal of scapyRecord, byte-identical to json.Marshal
-	// for this schema (fields in struct order, omitempty semantics,
-	// canonical float encoding): the record's strings are IP addresses, so
-	// no escaping can occur.
-	for _, h := range res.Hops {
-		for _, ms := range h.RTTMs {
-			if math.IsInf(ms, 0) || math.IsNaN(ms) {
-				return "", fmt.Errorf("tracert: unsupported RTT value %v", ms)
-			}
-		}
-	}
-	b := make([]byte, 0, 64+len(res.Hops)*72)
-	b = append(b, `{"target":"`...)
-	b = appendAddr(b, res.Dst)
-	b = append(b, `","hops":`...)
-	if len(res.Hops) == 0 {
-		b = append(b, "null}"...)
-		return string(b), nil
-	}
-	b = append(b, '[')
-	for i, h := range res.Hops {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, `{"ttl":`...)
-		b = strconv.AppendInt(b, int64(h.Index), 10)
-		if h.Responded {
-			b = append(b, `,"src":"`...)
-			b = appendAddr(b, h.Addr)
-			b = append(b, '"')
-			if len(h.RTTMs) > 0 {
-				b = append(b, `,"rtts_s":[`...)
-				for j, ms := range h.RTTMs {
-					if j > 0 {
-						b = append(b, ',')
-					}
-					b = appendJSONFloat(b, ms/1000)
-				}
-				b = append(b, ']')
-			}
-		}
-		b = append(b, '}')
-	}
-	b = append(b, "]}"...)
-	return string(b), nil
-}
-
-// Detect guesses the dialect of a probe-tool output.
-func Detect(text string) (Format, error) {
-	t := strings.TrimSpace(text)
-	switch {
-	case strings.HasPrefix(t, "traceroute to "):
-		return FormatLinux, nil
-	case strings.HasPrefix(t, "Tracing route to "):
-		return FormatWindows, nil
-	case strings.HasPrefix(t, "{"):
-		return FormatScapy, nil
-	case strings.HasPrefix(t, "Start:") || strings.HasPrefix(t, "HOST:"):
-		return FormatMTR, nil
-	default:
-		return 0, fmt.Errorf("tracert: unrecognized output (starts %q)", head(t, 24))
-	}
-}
-
-func head(s string, n int) string {
-	if len(s) <= n {
-		return s
-	}
-	return s[:n]
-}
-
-// Parse auto-detects the dialect and normalizes the output.
-func Parse(text string) (Normalized, error) {
-	f, err := Detect(text)
-	if err != nil {
-		return Normalized{}, err
-	}
-	switch f {
-	case FormatLinux:
-		return ParseLinux(text)
-	case FormatWindows:
-		return ParseWindows(text)
-	case FormatMTR:
-		return ParseMTR(text)
-	default:
-		return ParseScapy(text)
-	}
-}
-
-// ParseLinux parses traceroute(8) output.
-func ParseLinux(text string) (Normalized, error) {
-	if asciiSimple(text) {
-		return parseLinuxFast(text)
-	}
-	return parseLinuxSlow(text)
-}
-
-func parseLinuxSlow(text string) (Normalized, error) {
-	lines := strings.Split(strings.TrimSpace(text), "\n")
-	if len(lines) == 0 || !strings.HasPrefix(lines[0], "traceroute to ") {
-		return Normalized{}, fmt.Errorf("tracert: not traceroute output")
-	}
-	var out Normalized
-	// Header: traceroute to HOST (IP), ...
-	if i := strings.Index(lines[0], "("); i >= 0 {
-		if j := strings.Index(lines[0][i:], ")"); j > 0 {
-			out.Target = lines[0][i+1 : i+j]
-		}
-	}
-	if out.Target == "" {
-		return Normalized{}, fmt.Errorf("tracert: malformed traceroute header %q", lines[0])
-	}
-	for _, line := range lines[1:] {
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			continue
-		}
-		idx, err := strconv.Atoi(fields[0])
-		if err != nil {
-			return Normalized{}, fmt.Errorf("tracert: bad hop index in %q", line)
-		}
-		hop := NormHop{Hop: idx}
-		if fields[1] != "*" {
-			hop.Addr = fields[1]
-			for k := 2; k+1 < len(fields); k++ {
-				if fields[k+1] == "ms" {
-					v, err := strconv.ParseFloat(fields[k], 64)
-					if err == nil {
-						hop.RTTMs = append(hop.RTTMs, v)
-					}
-				}
-			}
-		}
-		out.Hops = append(out.Hops, hop)
-	}
-	out.Reached = reached(out)
-	return out, nil
-}
-
-// ParseWindows parses tracert.exe output.
-func ParseWindows(text string) (Normalized, error) {
-	if asciiSimple(text) {
-		return parseWindowsFast(text)
-	}
-	return parseWindowsSlow(text)
-}
-
-func parseWindowsSlow(text string) (Normalized, error) {
-	lines := strings.Split(strings.TrimSpace(text), "\n")
-	var out Normalized
-	for _, line := range lines {
-		line = strings.TrimSpace(line)
-		if strings.HasPrefix(line, "Tracing route to ") {
-			rest := strings.TrimPrefix(line, "Tracing route to ")
-			out.Target = strings.Fields(rest)[0]
-			continue
-		}
-		if line == "" || strings.HasPrefix(line, "Trace complete") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			continue
-		}
-		idx, err := strconv.Atoi(fields[0])
-		if err != nil {
-			continue // stray prose
-		}
-		hop := NormHop{Hop: idx}
-		if strings.Contains(line, "Request timed out") {
-			out.Hops = append(out.Hops, hop)
-			continue
-		}
-		// Fields alternate "<n> ms" or "*" three times, then the address.
-		rest := fields[1:]
-		for i := 0; i < len(rest); i++ {
-			switch {
-			case rest[i] == "*":
-				// lost probe
-			case rest[i] == "<1" && i+1 < len(rest) && rest[i+1] == "ms":
-				hop.RTTMs = append(hop.RTTMs, 0.5)
-				i++
-			case i+1 < len(rest) && rest[i+1] == "ms":
-				if v, err := strconv.ParseFloat(rest[i], 64); err == nil {
-					hop.RTTMs = append(hop.RTTMs, v)
-					i++
-				}
-			default:
-				hop.Addr = rest[i]
-			}
-		}
-		out.Hops = append(out.Hops, hop)
-	}
-	if out.Target == "" {
-		return Normalized{}, fmt.Errorf("tracert: not tracert output")
-	}
-	out.Reached = reached(out)
-	return out, nil
-}
-
-// ParseScapy parses the scapy JSON record. The strict scanner handles the
-// canonical compact shape without the reflection round trip; anything
-// else (whitespace, escapes, reordered keys) falls back to encoding/json.
-func ParseScapy(text string) (Normalized, error) {
-	rec, ok := scanScapy(text)
-	if !ok {
-		rec = scapyRecord{}
-		if err := json.Unmarshal([]byte(text), &rec); err != nil {
-			return Normalized{}, fmt.Errorf("tracert: bad scapy record: %w", err)
-		}
-	}
-	if rec.Target == "" {
-		return Normalized{}, fmt.Errorf("tracert: scapy record missing target")
-	}
-	out := Normalized{Target: rec.Target}
-	for _, sh := range rec.Hops {
-		hop := NormHop{Hop: sh.TTL, Addr: sh.Src}
-		for _, s := range sh.RTTs {
-			hop.RTTMs = append(hop.RTTMs, round3(s*1000))
-		}
-		out.Hops = append(out.Hops, hop)
-	}
-	out.Reached = reached(out)
-	return out, nil
-}
-
-func round3(v float64) float64 { return math.Round(v*1000) / 1000 }
-
-// reached infers completion: the last responding hop answered from the
-// target address itself.
-func reached(n Normalized) bool {
-	for i := len(n.Hops) - 1; i >= 0; i-- {
-		if n.Hops[i].Addr != "" {
-			return n.Hops[i].Addr == n.Target
-		}
-	}
-	return false
 }
