@@ -64,21 +64,26 @@ func SaveDataset(path string, ds *Dataset) error {
 }
 
 // LoadDataset reads a dataset saved by SaveDataset, transparently
-// decompressing ".gz" files, and validates it. Indented files written
-// before SaveDataset switched to compact JSON load the same way.
+// decompressing ".gz" files, and validates it. Files in exactly the form
+// SaveDataset writes are decoded by scanDataset; anything else, indented
+// files written before SaveDataset switched to compact JSON included,
+// goes through encoding/json, which yields the same dataset or the error.
 func LoadDataset(path string) (*Dataset, error) {
 	raw, err := readDataset(path, maxDatasetFileBytes, maxDatasetJSONBytes)
 	if err != nil {
 		return nil, err
 	}
-	var ds Dataset
-	if err := json.Unmarshal(raw, &ds); err != nil {
-		return nil, fmt.Errorf("core: decode dataset %s: %w", path, err)
+	ds, ok := scanDataset(raw)
+	if !ok {
+		ds = new(Dataset)
+		if err := json.Unmarshal(raw, ds); err != nil {
+			return nil, fmt.Errorf("core: decode dataset %s: %w", path, err)
+		}
 	}
 	if err := ds.Validate(); err != nil {
 		return nil, fmt.Errorf("core: dataset %s: %w", path, err)
 	}
-	return &ds, nil
+	return ds, nil
 }
 
 // readDataset returns the JSON held by the dataset file at path. It
@@ -167,9 +172,13 @@ func (ds *Dataset) Validate() error {
 		}
 		seen[p.Target.Domain] = true
 		clear(resolved)
-		for _, rec := range p.DNS {
-			if addr, err := netip.ParseAddr(rec.Addr); err == nil {
+		for k, rec := range p.DNS {
+			addr, err := netip.ParseAddr(rec.Addr)
+			if err == nil {
 				resolved[addr] = true
+			} else if rec.Err == "" {
+				// Box 2 would drop this domain's flow without a word.
+				return fmt.Errorf("page %d (%s): dns record %d (%s): address %q is not an IP address and no error is recorded", i, p.Target.Domain, k, rec.Domain, rec.Addr)
 			}
 		}
 		for j, tr := range p.Traceroutes {

@@ -268,6 +268,14 @@ func TestValidate(t *testing.T) {
 			"page 0 (site-a.example): traceroute 0: target 198.51.100.7 was not resolved on this page"},
 		{"target resolved on another page", func(ds *Dataset) { ds.Pages[0].Traceroutes[0].Target = "20.0.0.3" },
 			"page 0 (site-a.example): traceroute 0: target 20.0.0.3 was not resolved on this page"},
+		{"failed lookup", func(ds *Dataset) {
+			ds.Pages[1].DNS = append(ds.Pages[1].DNS, DNSRecord{Domain: "gone.example", Err: "NXDOMAIN"})
+		}, ""},
+		{"dns address not an IP", func(ds *Dataset) { ds.Pages[0].DNS[0].Addr = "site-a.example" },
+			`page 0 (site-a.example): dns record 0 (site-a.example): address "site-a.example" is not an IP address`},
+		{"dns record without address or error", func(ds *Dataset) {
+			ds.Pages[1].DNS = append(ds.Pages[1].DNS, DNSRecord{Domain: "silent.example"})
+		}, `page 1 (site-b.example): dns record 3 (silent.example): address "" is not an IP address`},
 		{"negative ping RTT", func(ds *Dataset) {
 			ds.Pages[0].Pings = []PingRecord{{Addr: "20.0.0.1", RTTMs: -1, OK: true}}
 		}, "page 0 (site-a.example): ping 20.0.0.1: negative RTT -1"},

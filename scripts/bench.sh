@@ -3,10 +3,10 @@
 #
 # Runs the filterlist matching-engine benchmarks (hit, miss, bare-hostname
 # probe, index build, parse), the pipeline's parallel-analysis benchmark,
-# and the serving layer's hot-path benchmarks with -benchtime=1x -count=1:
-# fast enough for CI, and a compile+run check that every benchmark still
-# works. Real before/after numbers are collected with longer benchtimes
-# and recorded in BENCH_*.json.
+# the dataset loader, and the serving layer's hot-path benchmarks with
+# -benchtime=1x -count=1: fast enough for CI, and a compile+run check that
+# every benchmark still works. Real before/after numbers are collected with
+# longer benchtimes and recorded in BENCH_*.json.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -28,5 +28,9 @@ go test -run '^$' -bench 'BenchmarkTraceroute$|BenchmarkPing|BenchmarkBaseRTT' \
 	-benchmem -benchtime=1x -count=1 ./internal/netsim/
 go test -run '^$' -bench 'BenchmarkRenderParse' \
 	-benchtime=1x -count=1 ./internal/tracert/
+# The reload path's decode layer: core.LoadDataset over the seed-42
+# study's 23 datasets saved as .json.gz.
+go test -run '^$' -bench 'BenchmarkLoadDataset' \
+	-benchmem -benchtime=1x -count=1 ./internal/core/
 go test -run '^$' -bench 'BenchmarkRunStudyEndToEnd' \
 	-benchmem -benchtime=1x -count=1 .
