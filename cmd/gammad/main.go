@@ -173,10 +173,7 @@ func snapshotID(seed uint64, dataDir string) string {
 func buildSnapshot(ctx context.Context, seed uint64, dataDir string, workers int, id string) (*serve.Snapshot, error) {
 	meta := serve.Meta{ID: id, BuiltAt: sched.Wall().Now()}
 	if dataDir == "" {
-		study, err := gamma.RunStudyWithOptions(ctx, seed, gamma.StudyOptions{
-			Workers:         workers,
-			AnalysisWorkers: workers,
-		})
+		study, err := gamma.RunStudyWithOptions(ctx, seed, gamma.StudyOptions{Workers: workers})
 		if err != nil {
 			return nil, err
 		}

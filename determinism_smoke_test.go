@@ -28,10 +28,7 @@ func TestStudyDeterminismAcrossWorkerCounts(t *testing.T) {
 	}
 	run := func(workers int) snapshot {
 		t.Helper()
-		study, err := gamma.RunStudyWithOptions(context.Background(), seed, gamma.StudyOptions{
-			Workers:         workers,
-			AnalysisWorkers: workers,
-		})
+		study, err := gamma.RunStudyWithOptions(context.Background(), seed, gamma.StudyOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

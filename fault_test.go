@@ -9,14 +9,13 @@ import (
 	"testing"
 
 	"github.com/gamma-suite/gamma/internal/core"
-	"github.com/gamma-suite/gamma/internal/driver"
 	"github.com/gamma-suite/gamma/internal/rng"
 	"github.com/gamma-suite/gamma/internal/tracert"
 )
 
 // Deterministic transient-fault injection for campaign tests. The
 // decorators wrap a volunteer's drivers through StudyOptions.EnvHook and
-// fail calls with driver.Fault, which the suite never records: a failed
+// fail calls with core.Fault, which the suite never records: a failed
 // target ends the volunteer's attempt, and the campaign's volunteer retry
 // resumes from it.
 
@@ -56,7 +55,7 @@ func (f *faultSource) draw(kind, key string) error {
 	f.mu.Lock()
 	f.fired++
 	f.mu.Unlock()
-	return driver.Fault(fmt.Errorf("injected transient %s fault (%s, call %d)", kind, key, n))
+	return core.Fault(fmt.Errorf("injected transient %s fault (%s, call %d)", kind, key, n))
 }
 
 func (f *faultSource) counts() (drawn, fired int) {
@@ -69,13 +68,13 @@ func (f *faultSource) counts() (drawn, fired int) {
 // simulated drivers are stateless per call, a retried load returns exactly
 // the record the fault-free run would have.
 type flakyBrowser struct {
-	inner driver.Browser
+	inner core.Browser
 	f     *faultSource
 }
 
-func (b *flakyBrowser) Load(ctx context.Context, site string) (driver.PageRecord, error) {
+func (b *flakyBrowser) Load(ctx context.Context, site string) (core.PageRecord, error) {
 	if err := b.f.draw("browser", site); err != nil {
-		return driver.PageRecord{}, err
+		return core.PageRecord{}, err
 	}
 	return b.inner.Load(ctx, site)
 }
@@ -85,7 +84,7 @@ func (b *flakyBrowser) Load(ctx context.Context, site string) (driver.PageRecord
 // gives them no error channel, so an injected failure would silently alter
 // recorded data instead of failing the target.
 type flakyResolver struct {
-	inner driver.Resolver
+	inner core.Resolver
 	f     *faultSource
 }
 
@@ -94,14 +93,14 @@ type flakyResolver struct {
 // capability is present, and losing it would change dataset bytes.
 type flakyChainResolver struct {
 	*flakyResolver
-	chain driver.ChainResolver
+	chain core.ChainResolver
 }
 
 // newFlakyResolver decorates inner, preserving its optional ChainResolver
 // capability.
-func newFlakyResolver(inner driver.Resolver, f *faultSource) driver.Resolver {
+func newFlakyResolver(inner core.Resolver, f *faultSource) core.Resolver {
 	fr := &flakyResolver{inner: inner, f: f}
-	if cr, ok := inner.(driver.ChainResolver); ok {
+	if cr, ok := inner.(core.ChainResolver); ok {
 		return &flakyChainResolver{flakyResolver: fr, chain: cr}
 	}
 	return fr
@@ -128,7 +127,7 @@ func (r *flakyChainResolver) ResolveChain(ctx context.Context, domain string) (n
 
 // flakyProber fails each traceroute launch with the source's probability.
 type flakyProber struct {
-	inner driver.Prober
+	inner core.Prober
 	f     *faultSource
 }
 
@@ -158,8 +157,8 @@ func faultyHook(seed uint64, rate float64) func(string, core.Env) core.Env {
 
 type stubBrowser struct{}
 
-func (stubBrowser) Load(_ context.Context, site string) (driver.PageRecord, error) {
-	return driver.PageRecord{Site: site}, nil
+func (stubBrowser) Load(_ context.Context, site string) (core.PageRecord, error) {
+	return core.PageRecord{Site: site}, nil
 }
 
 type stubResolver struct{}
@@ -196,8 +195,8 @@ func TestFlakyBrowserRateZeroAndOne(t *testing.T) {
 	if err == nil {
 		t.Fatal("rate 1 must fault")
 	}
-	if !driver.IsFault(err) {
-		t.Errorf("injected failure must carry the driver.Fault marker: %v", err)
+	if !core.IsFault(err) {
+		t.Errorf("injected failure must carry the core.Fault marker: %v", err)
 	}
 	if drawn, fired := always.f.counts(); drawn != 1 || fired != 1 {
 		t.Errorf("counts = (%d, %d)", drawn, fired)
@@ -241,11 +240,11 @@ func TestFlakyBrowserDeterministicPerCallCounter(t *testing.T) {
 
 func TestFlakyResolverPreservesChainCapability(t *testing.T) {
 	plain := newFlakyResolver(stubResolver{}, newFaultSource(1, "v/JP", 0))
-	if _, ok := plain.(driver.ChainResolver); ok {
+	if _, ok := plain.(core.ChainResolver); ok {
 		t.Error("wrapping a plain resolver must not invent ChainResolver")
 	}
 	wrapped := newFlakyResolver(stubChainResolver{}, newFaultSource(1, "v/JP", 0))
-	cr, ok := wrapped.(driver.ChainResolver)
+	cr, ok := wrapped.(core.ChainResolver)
 	if !ok {
 		t.Fatal("wrapping a ChainResolver must preserve the capability")
 	}
@@ -257,7 +256,7 @@ func TestFlakyResolverPreservesChainCapability(t *testing.T) {
 
 func TestFlakyResolverNeverFaultsReverse(t *testing.T) {
 	fr := newFlakyResolver(stubResolver{}, newFaultSource(1, "v/BR", 1))
-	if _, err := fr.Resolve(context.Background(), "x.test"); !driver.IsFault(err) {
+	if _, err := fr.Resolve(context.Background(), "x.test"); !core.IsFault(err) {
 		t.Fatalf("Resolve at rate 1 should fault: %v", err)
 	}
 	name, ok := fr.Reverse(context.Background(), netip.MustParseAddr("192.0.2.1"))
@@ -275,7 +274,7 @@ func TestFlakyProberFaultsAreTransient(t *testing.T) {
 	for i := 0; i < 64 && !ok; i++ {
 		if _, err := fp.Traceroute(context.Background(), dst); err == nil {
 			ok = true
-		} else if !driver.IsFault(err) {
+		} else if !core.IsFault(err) {
 			t.Fatalf("non-fault error: %v", err)
 		}
 	}

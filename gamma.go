@@ -204,8 +204,20 @@ func VolunteerEnv(w *World, cc string) (core.Env, core.Config, error) {
 // or secondary (worlds built with SecondaryVantages recruit two per
 // country, lifting the paper's single-ISP limitation).
 func VolunteerEnvFor(w *World, vol *worldgen.Volunteer) (core.Env, core.Config, error) {
+	env, cfg := volunteerEnv(w, vol, "")
+	return env, cfg, nil
+}
+
+// volunteerEnv assembles a volunteer's drivers and configuration (without
+// targets). A non-empty session tags the volunteer ID, and the browser
+// session keyed by it draws its own ad rotations and load failures.
+func volunteerEnv(w *World, vol *worldgen.Volunteer, session string) (core.Env, core.Config) {
 	cc := vol.Country
-	bcfg := browser.DefaultConfig(w.Seed, vol.VantageID)
+	id := vol.VantageID
+	if session != "" {
+		id += "/" + session
+	}
+	bcfg := browser.DefaultConfig(w.Seed, id)
 	bcfg.Country = cc
 	bcfg.LoadFailureProb = vol.LoadFailureProb
 	bcfg.Pages = w.Pages
@@ -229,15 +241,14 @@ func VolunteerEnvFor(w *World, vol *worldgen.Volunteer) (core.Env, core.Config, 
 		optOuts[d] = true
 	}
 	cfg := core.Config{
-		VolunteerID:       vol.VantageID,
+		VolunteerID:       id,
 		Country:           cc,
 		City:              vol.City.ID(),
 		VolunteerIP:       vol.Addr.String(),
 		OptOutSites:       optOuts,
 		TracerouteEnabled: !vol.TracerouteOptOut,
-		Parallelism:       1, // the study ran volunteers single-threaded
 	}
-	return env, cfg, nil
+	return env, cfg
 }
 
 // RunVolunteer executes Gamma for one country against its selected
@@ -260,17 +271,7 @@ func RunVolunteerAs(ctx context.Context, w *World, vol *worldgen.Volunteer, sel 
 // modelling repeated visits (the paper recommends multiple runs per site
 // to smooth single-visit variability).
 func RunVolunteerSession(ctx context.Context, w *World, vol *worldgen.Volunteer, sel Selection, session string) (*Dataset, error) {
-	env, cfg, err := VolunteerEnvFor(w, vol)
-	if err != nil {
-		return nil, err
-	}
-	if session != "" {
-		bcfg := browser.DefaultConfig(w.Seed, vol.VantageID+"/"+session)
-		bcfg.Country = vol.Country
-		bcfg.LoadFailureProb = vol.LoadFailureProb
-		env.Browser = simBrowser{b: browser.New(w.Web, bcfg)}
-		cfg.VolunteerID = vol.VantageID + "/" + session
-	}
+	env, cfg := volunteerEnv(w, vol, session)
 	cfg.Targets = sel.Targets()
 	suite, err := core.New(cfg, env)
 	if err != nil {
@@ -344,16 +345,12 @@ func RunStudy(ctx context.Context, seed uint64) (*Study, error) {
 // value reproduces RunStudy: one attempt per volunteer, GOMAXPROCS
 // workers, fail-fast.
 type StudyOptions struct {
-	// Workers bounds concurrently running volunteers; <= 0 uses
-	// runtime.GOMAXPROCS(0). The result is byte-identical for any value:
-	// every stochastic draw is keyed by stable strings, never by
-	// scheduling order.
+	// Workers bounds both concurrently running volunteers and concurrent
+	// per-country analyses in Box 2 (pipeline.Env.AnalysisWorkers); <= 0
+	// uses runtime.GOMAXPROCS(0), 1 runs both serially. The result is
+	// byte-identical for any value: every stochastic draw is keyed by
+	// stable strings, never by scheduling order.
 	Workers int
-	// AnalysisWorkers bounds concurrent per-country analyses in Box 2
-	// (pipeline.Env.AnalysisWorkers): <= 0 uses runtime.GOMAXPROCS(0),
-	// 1 forces a serial analysis. Like Workers, the analyzed result is
-	// byte-identical for every value.
-	AnalysisWorkers int
 	// Retry re-runs a failed volunteer (zero value: single attempt). It
 	// is the campaign's only retry layer: each retry resumes the
 	// volunteer's dataset from its first unrecorded target, so completed
@@ -455,7 +452,7 @@ func RunStudyWithOptions(ctx context.Context, seed uint64, opts StudyOptions) (*
 		return study, errors.Join(errs...)
 	}
 	if len(all) > 0 {
-		res, aerr := AnalyzeWithWorkers(w, all, opts.AnalysisWorkers)
+		res, aerr := AnalyzeWithWorkers(w, all, workers)
 		if aerr != nil {
 			errs = append(errs, aerr)
 		} else {
@@ -487,14 +484,12 @@ func volunteerUnit(w *World, cc string, sel Selection, opts StudyOptions) func(c
 				if !ok {
 					return fmt.Errorf("gamma: no volunteer in %s", cc)
 				}
-				env, cfg, err := VolunteerEnvFor(w, vol)
-				if err != nil {
-					return err
-				}
+				env, cfg := volunteerEnv(w, vol, "")
 				if opts.EnvHook != nil {
 					env = opts.EnvHook(cc, env)
 				}
 				cfg.Targets = sel.Targets()
+				var err error
 				suite, err = core.New(cfg, env)
 				if err != nil {
 					return err

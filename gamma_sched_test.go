@@ -14,7 +14,6 @@ import (
 
 	gamma "github.com/gamma-suite/gamma"
 	"github.com/gamma-suite/gamma/internal/core"
-	"github.com/gamma-suite/gamma/internal/driver"
 	"github.com/gamma-suite/gamma/internal/sched"
 )
 
@@ -122,7 +121,7 @@ func (b *faultAtBrowser) Load(ctx context.Context, site string) (core.PageRecord
 	b.faulted = b.faulted || fault
 	b.mu.Unlock()
 	if fault {
-		return core.PageRecord{}, driver.Fault(fmt.Errorf("injected: browser crashed on %s", site))
+		return core.PageRecord{}, core.Fault(fmt.Errorf("injected: browser crashed on %s", site))
 	}
 	return b.inner.Load(ctx, site)
 }

@@ -1,7 +1,9 @@
 package gamma_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -167,6 +169,52 @@ func TestVolunteerDatasetRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(loaded, ds) {
 			t.Errorf("%s: dataset round-trip mismatch", cc)
 		}
+	}
+}
+
+// TestRunVolunteerSession: an untagged session is RunVolunteer, byte for
+// byte; a tagged session is deterministic, carries its tag in the
+// volunteer ID, and shares the world's parse memo like every other run.
+func TestRunVolunteerSession(t *testing.T) {
+	ctx := context.Background()
+	w, err := gamma.NewWorld(42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sels, err := gamma.SelectTargets(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cc = "NZ"
+	vol := w.Volunteers[cc]
+	marshal := func(ds *gamma.Dataset, err error) []byte {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	plain := marshal(gamma.RunVolunteer(ctx, w, cc, sels[cc]))
+	if got := marshal(gamma.RunVolunteerSession(ctx, w, vol, sels[cc], "")); !bytes.Equal(got, plain) {
+		t.Error("an untagged session must record exactly what RunVolunteer records")
+	}
+
+	before := w.Pages.Stats()
+	ds, err := gamma.RunVolunteerSession(ctx, w, vol, sels[cc], "run-2")
+	tagged := marshal(ds, err)
+	after := w.Pages.Stats()
+	if after.Hits+after.Misses <= before.Hits+before.Misses {
+		t.Error("a tagged session must load pages through the world's parse memo")
+	}
+	if want := vol.VantageID + "/run-2"; ds.VolunteerID != want {
+		t.Errorf("VolunteerID = %q, want %q", ds.VolunteerID, want)
+	}
+	if again := marshal(gamma.RunVolunteerSession(ctx, w, vol, sels[cc], "run-2")); !bytes.Equal(again, tagged) {
+		t.Error("a tagged session must be deterministic")
 	}
 }
 

@@ -6,18 +6,17 @@
 // everything in a portable JSON dataset, supports volunteer opt-outs and
 // resuming interrupted runs, and anonymizes volunteer IPs after analysis.
 //
-// The driver interfaces (declared in internal/driver and aliased here) are
-// the portability boundary the paper describes: in the field they are
-// backed by Selenium, the system resolver and the OS traceroute/tracert
-// tools; in this repository they are backed by the simulation substrates.
-// core itself imports neither.
+// The driver interfaces (driver.go) are the portability boundary the paper
+// describes: in the field they are backed by Selenium, the system resolver
+// and the OS traceroute/tracert tools; in this repository they are backed
+// by the simulation substrates. core itself imports neither.
 //
-// Targets are scheduled through internal/sched's bounded worker pool, one
-// attempt each. A transient driver fault (marked with driver.Fault) aborts
-// its target without being recorded; the pages before it are kept, and a
-// later Resume re-measures from the first unrecorded target. Retrying is
-// the caller's job: the study campaign retries whole volunteers, and each
-// retry resumes.
+// A suite measures its targets one at a time, in order, one attempt each.
+// A transient driver fault (marked with Fault) aborts its target without
+// being recorded; the pages before it are kept, and a later Resume
+// re-measures from the first unrecorded target. Retrying is the caller's
+// job: the study campaign retries whole volunteers, and each retry
+// resumes.
 package core
 
 import (
@@ -27,33 +26,10 @@ import (
 	"net/netip"
 	"time"
 
-	"github.com/gamma-suite/gamma/internal/driver"
 	"github.com/gamma-suite/gamma/internal/sched"
 	"github.com/gamma-suite/gamma/internal/tlsprobe"
 	"github.com/gamma-suite/gamma/internal/tracert"
 )
-
-// RequestRecord is one network request observed during a page load.
-type RequestRecord = driver.RequestRecord
-
-// PageRecord is the C1 outcome for one target site.
-type PageRecord = driver.PageRecord
-
-// Browser drives isolated browser sessions (C1).
-type Browser = driver.Browser
-
-// Resolver performs forward and reverse DNS (C2).
-type Resolver = driver.Resolver
-
-// ChainResolver is an optional Resolver capability: it reports the CNAME
-// chain a resolution traversed. Gamma records chains when available — they
-// are how the pipeline detects CNAME-cloaked trackers.
-type ChainResolver = driver.ChainResolver
-
-// Prober launches active measurement probes (C3). Implementations shell
-// out to OS-specific tools; results arrive already normalized through the
-// tracert portability layer.
-type Prober = driver.Prober
 
 // Clock abstracts time for deterministic datasets.
 type Clock interface{ Now() time.Time }
@@ -130,10 +106,6 @@ type Config struct {
 	TLSScanEnabled bool `json:"tls_scan_enabled,omitempty"`
 	// PingEnabled adds best-of-three ping probes per resolved server.
 	PingEnabled bool `json:"ping_enabled,omitempty"`
-	// Parallelism is the number of simultaneous browser instances. The
-	// zero value defaults to 1, the paper's single-thread volunteer mode;
-	// negative values are a configuration error.
-	Parallelism int `json:"parallelism"`
 }
 
 // DNSRecord is one C2 resolution result.
@@ -191,9 +163,8 @@ func (d *Dataset) LoadedOK() int {
 
 // Suite is a configured Gamma instance.
 type Suite struct {
-	cfg  Config
-	env  Env
-	pool *sched.Pool[PageResult]
+	cfg Config
+	env Env
 }
 
 // New validates the configuration and builds a suite.
@@ -207,12 +178,6 @@ func New(cfg Config, env Env) (*Suite, error) {
 	if len(cfg.Targets) == 0 {
 		return nil, fmt.Errorf("core: config needs targets")
 	}
-	if cfg.Parallelism < 0 {
-		return nil, fmt.Errorf("core: config parallelism must not be negative, got %d (leave 0 for the single-thread default)", cfg.Parallelism)
-	}
-	if cfg.Parallelism == 0 {
-		cfg.Parallelism = 1
-	}
 	if cfg.TracerouteEnabled && env.Prober == nil {
 		return nil, fmt.Errorf("core: traceroutes enabled but Env.Prober is nil")
 	}
@@ -222,9 +187,7 @@ func New(cfg Config, env Env) (*Suite, error) {
 	if cfg.PingEnabled && env.Pinger == nil {
 		return nil, fmt.Errorf("core: pings enabled but Env.Pinger is nil")
 	}
-	s := &Suite{cfg: cfg, env: env}
-	s.pool = sched.New[PageResult](sched.Options{Workers: cfg.Parallelism, FailFast: true})
-	return s, nil
+	return &Suite{cfg: cfg, env: env}, nil
 }
 
 // Config returns the suite configuration.
@@ -262,11 +225,11 @@ func (s *Suite) Resume(ctx context.Context, ds *Dataset) error {
 // ds must be a recording by this suite's volunteer whose pages are an
 // in-order prefix of Config.Targets; anything else (another volunteer,
 // another world's target list) is rejected, marked sched.Permanent, and
-// ds is left untouched. Pending targets are scheduled through the suite's
-// worker pool (Config.Parallelism workers, one attempt each). Pages are
-// recorded in target order up to the first failure, so a later Resume
-// continues exactly where this one stopped and the final dataset is
-// byte-identical however many attempts it took.
+// ds is left untouched. Pending targets are measured one at a time, in
+// order, and each finished page is appended at once, so the record stays
+// an in-order prefix of the targets: a later Resume continues exactly
+// where this one stopped, and the final dataset is byte-identical however
+// many attempts it took.
 func (s *Suite) ResumeLimit(ctx context.Context, ds *Dataset, limit int) error {
 	if limit < 0 {
 		return fmt.Errorf("core: resume limit must not be negative, got %d (leave 0 to measure every pending target)", limit)
@@ -278,48 +241,15 @@ func (s *Suite) ResumeLimit(ctx context.Context, ds *Dataset, limit int) error {
 	if limit > 0 && len(pending) > limit {
 		pending = pending[:limit]
 	}
-	units := make([]sched.Unit[PageResult], len(pending))
-	for i, t := range pending {
-		units[i] = sched.Unit[PageResult]{
-			ID: t.Domain,
-			Run: func(ctx context.Context) (PageResult, error) {
-				return s.measureTarget(ctx, t)
-			},
-		}
-	}
-	results, _ := s.pool.Run(ctx, units)
-
-	// Append completed pages in target order, stopping at the first unit
-	// that did not succeed: resume continues after the last recorded page,
-	// and keeping the record a strict in-order prefix of the targets is
-	// what makes retried runs byte-identical to uninterrupted ones. The
-	// reported error is the first *causal* failure — in-flight units
-	// cancelled by fail-fast carry context.Canceled and must not mask it.
-	appendUpTo := len(results)
-	var firstErr error
-	for i, r := range results {
-		if r.Err == nil {
-			continue
-		}
-		if i < appendUpTo {
-			appendUpTo = i
-		}
-		if firstErr == nil && !r.Skipped && !errors.Is(r.Err, context.Canceled) {
-			firstErr = fmt.Errorf("core: target %s: %w", pending[i].Domain, r.Err)
-		}
-	}
-	for _, r := range results[:appendUpTo] {
-		ds.Pages = append(ds.Pages, r.Value)
-	}
-	if firstErr != nil {
-		return firstErr
-	}
-	if appendUpTo < len(results) {
-		// Only cancellations remain: surface the context's error.
+	for _, t := range pending {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		return context.Canceled
+		page, err := s.measureTarget(ctx, t)
+		if err != nil {
+			return fmt.Errorf("core: target %s: %w", t.Domain, err)
+		}
+		ds.Pages = append(ds.Pages, page)
 	}
 	return nil
 }
@@ -342,7 +272,7 @@ func (s *Suite) resumable(ds *Dataset) error {
 }
 
 // measureTarget runs C1 -> C2 -> C3 for one site, calling each driver
-// once. A transient infrastructure fault (driver.Fault) aborts the target
+// once. A transient infrastructure fault (Fault) aborts the target
 // rather than polluting the dataset, while negative measurement results
 // (NXDOMAIN, failed page loads) are recorded as data.
 func (s *Suite) measureTarget(ctx context.Context, t Target) (PageResult, error) {
@@ -396,7 +326,7 @@ func (s *Suite) measureTarget(ctx context.Context, t Target) (PageResult, error)
 			addr, err = s.env.Resolver.Resolve(ctx, req.Domain)
 		}
 		switch {
-		case driver.IsFault(err) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		case IsFault(err) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 			// A fault or a cancelled lookup is not an answer: abort the
 			// target so it is never recorded as data.
 			return out, fmt.Errorf("resolver: %w", err)

@@ -11,12 +11,11 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"github.com/gamma-suite/gamma/internal/driver"
 	"github.com/gamma-suite/gamma/internal/sched"
 	"github.com/gamma-suite/gamma/internal/tracert"
 )
 
-// faultOnce injects one driver.Fault the first time its key is called,
+// faultOnce injects one Fault the first time its key is called,
 // modelling a transient infrastructure failure on one driver call.
 type faultOnce struct {
 	key   string
@@ -27,7 +26,7 @@ func (f *faultOnce) hit(key string) error {
 	if key != f.key || f.fired.Swap(true) {
 		return nil
 	}
-	return driver.Fault(fmt.Errorf("injected: connection reset (%s)", key))
+	return Fault(fmt.Errorf("injected: connection reset (%s)", key))
 }
 
 type faultOnceBrowser struct {
@@ -79,21 +78,74 @@ func datasetJSON(t *testing.T, ds *Dataset) []byte {
 	return b
 }
 
-func TestNegativeParallelismRejected(t *testing.T) {
+func TestFaultMarkerTransparent(t *testing.T) {
+	base := fmt.Errorf("connection reset")
+	f := Fault(base)
+	if f.Error() != base.Error() {
+		t.Errorf("Fault must not change error text: %q", f.Error())
+	}
+	if !IsFault(f) || IsFault(base) {
+		t.Error("IsFault misclassifies")
+	}
+	if !errors.Is(f, base) {
+		t.Error("Fault must preserve the error chain")
+	}
+	if Fault(nil) != nil {
+		t.Error("Fault(nil) must be nil")
+	}
+}
+
+// cancelOnSecondLoad cancels the run's context as its second page load
+// starts, as a volunteer does who closes the tool mid-run; the load then
+// fails with the cancellation, like a browser session torn down mid-page.
+type cancelOnSecondLoad struct {
+	inner  Browser
+	cancel context.CancelFunc
+	loads  int
+}
+
+func (b *cancelOnSecondLoad) Load(ctx context.Context, site string) (PageRecord, error) {
+	if b.loads++; b.loads == 2 {
+		b.cancel()
+		return PageRecord{}, ctx.Err()
+	}
+	return b.inner.Load(ctx, site)
+}
+
+// TestCancelMidRunKeepsPrefix: a run cancelled during its second target
+// reports the cancellation, keeps exactly the first page, and a later
+// Resume with a live context reproduces the uninterrupted dataset.
+func TestCancelMidRunKeepsPrefix(t *testing.T) {
 	env, _, _ := testEnv()
-	cfg := testConfig()
-	cfg.Parallelism = -2
-	_, err := New(cfg, env)
-	if err == nil {
-		t.Fatal("negative parallelism must be rejected")
+	s, err := New(testConfig(), env)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(err.Error(), "parallelism") || !strings.Contains(err.Error(), "-2") {
-		t.Errorf("error should name the field and value: %v", err)
+	want, err := s.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The zero value stays valid and means serial execution.
-	cfg.Parallelism = 0
-	if _, err := New(cfg, env); err != nil {
-		t.Errorf("zero parallelism is the documented default: %v", err)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	env, _, _ = testEnv()
+	env.Browser = &cancelOnSecondLoad{inner: env.Browser, cancel: cancel}
+	s, err = New(testConfig(), env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := s.Run(ctx)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("a cancelled run must report context.Canceled: %v", err)
+	}
+	if len(ds.Pages) != 1 || ds.Pages[0].Target.Domain != "site-a.example" {
+		t.Fatalf("pages = %+v, want only the first target", ds.Pages)
+	}
+	if err := s.Resume(context.Background(), ds); err != nil {
+		t.Fatal(err)
+	}
+	if string(datasetJSON(t, ds)) != string(datasetJSON(t, want)) {
+		t.Error("resuming after a cancellation must reproduce the uninterrupted dataset")
 	}
 }
 
@@ -132,7 +184,7 @@ func TestDriverFaultFailsTargetOnSingleAttempt(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), "site-b.example") || !strings.Contains(err.Error(), tc.driver) {
 				t.Fatalf("a faulted %s call must fail site-b.example: %v", tc.driver, err)
 			}
-			if !driver.IsFault(err) {
+			if !IsFault(err) {
 				t.Errorf("the target error must keep the fault marker: %v", err)
 			}
 			if got := string(datasetJSON(t, ds)); strings.Contains(got, "injected") {
@@ -199,7 +251,7 @@ type alwaysFaultBrowser struct{ loads atomic.Int64 }
 
 func (b *alwaysFaultBrowser) Load(context.Context, string) (PageRecord, error) {
 	b.loads.Add(1)
-	return PageRecord{}, driver.Fault(fmt.Errorf("injected: network down"))
+	return PageRecord{}, Fault(fmt.Errorf("injected: network down"))
 }
 
 // countingResolver counts Resolve calls per domain on top of fakeResolver.

@@ -287,26 +287,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestParallelism(t *testing.T) {
-	env, _, _ := testEnv()
-	cfg := testConfig()
-	cfg.Parallelism = 4
-	s, err := New(cfg, env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := s.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Target order must be preserved regardless of scheduling.
-	for i, p := range ds.Pages {
-		if p.Target.Domain != cfg.Targets[i].Domain {
-			t.Fatalf("page %d out of order: %s", i, p.Target.Domain)
-		}
-	}
-}
-
 func TestAnonymize(t *testing.T) {
 	env, _, _ := testEnv()
 	s, _ := New(testConfig(), env)

@@ -11,8 +11,8 @@
 // campaign results regardless of worker count — and tests never sleep.
 //
 // Pool is the only retry layer: the study campaign retries whole
-// volunteers with it, and each retry resumes the volunteer's dataset. The
-// suite runs its targets through a Pool too, but with one attempt each.
+// volunteers with it, and each retry resumes the volunteer's dataset. Box 2
+// runs its countries through a Pool too, with one attempt each.
 package sched
 
 import (

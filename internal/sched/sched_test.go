@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/gamma-suite/gamma/internal/driver"
 	"github.com/gamma-suite/gamma/internal/rng"
 )
 
@@ -72,23 +71,6 @@ func TestPermanentMarkerTransparent(t *testing.T) {
 	}
 	if Permanent(nil) != nil {
 		t.Error("Permanent(nil) must be nil")
-	}
-}
-
-func TestFaultMarkerTransparent(t *testing.T) {
-	base := fmt.Errorf("connection reset")
-	f := driver.Fault(base)
-	if f.Error() != base.Error() {
-		t.Errorf("Fault must not change error text: %q", f.Error())
-	}
-	if !driver.IsFault(f) || driver.IsFault(base) {
-		t.Error("IsFault misclassifies")
-	}
-	if !retryable(f) {
-		t.Error("a transient driver fault must be retryable by the pool")
-	}
-	if driver.Fault(nil) != nil {
-		t.Error("Fault(nil) must be nil")
 	}
 }
 

@@ -17,10 +17,7 @@ import (
 // counts and builds a serving snapshot from its analyzed corpus.
 func buildStudySnapshot(t *testing.T, seed uint64, workers int, id string) *serve.Snapshot {
 	t.Helper()
-	study, err := gamma.RunStudyWithOptions(context.Background(), seed, gamma.StudyOptions{
-		Workers:         workers,
-		AnalysisWorkers: workers,
-	})
+	study, err := gamma.RunStudyWithOptions(context.Background(), seed, gamma.StudyOptions{Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
