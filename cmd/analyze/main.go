@@ -19,7 +19,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 
 	gamma "github.com/gamma-suite/gamma"
@@ -43,27 +42,23 @@ func main() {
 }
 
 func run(seed uint64, dataDir string, files []string, asJSON bool, country string, workers int) error {
+	var datasets []*core.Dataset
 	if dataDir != "" {
-		for _, pattern := range []string{"*.json", "*.json.gz"} {
-			matches, err := filepath.Glob(filepath.Join(dataDir, pattern))
-			if err != nil {
-				return err
-			}
-			files = append(files, matches...)
+		var err error
+		if datasets, err = core.LoadDatasetDir(dataDir); err != nil {
+			return err
 		}
 	}
-	if len(files) == 0 {
-		return fmt.Errorf("no datasets given (use -data DIR or list files)")
-	}
 	sort.Strings(files)
-
-	var datasets []*core.Dataset
 	for _, f := range files {
 		ds, err := core.LoadDataset(f)
 		if err != nil {
 			return err
 		}
 		datasets = append(datasets, ds)
+	}
+	if len(datasets) == 0 {
+		return fmt.Errorf("no datasets given (use -data DIR or list files)")
 	}
 	fmt.Fprintf(os.Stderr, "analyzing %d dataset(s) against world seed %d...\n", len(datasets), seed)
 

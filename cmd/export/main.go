@@ -14,8 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
 
 	gamma "github.com/gamma-suite/gamma"
 	"github.com/gamma-suite/gamma/internal/core"
@@ -55,24 +53,9 @@ func run(seed uint64, out, dataDir string, withSVG bool) error {
 		if err != nil {
 			return err
 		}
-		files, err := filepath.Glob(filepath.Join(dataDir, "*.json*"))
+		datasets, err := core.LoadDatasetDir(dataDir)
 		if err != nil {
 			return err
-		}
-		sort.Strings(files)
-		var datasets []*core.Dataset
-		for _, f := range files {
-			if filepath.Ext(f) == ".tmp" {
-				continue
-			}
-			ds, err := core.LoadDataset(f)
-			if err != nil {
-				return err
-			}
-			datasets = append(datasets, ds)
-		}
-		if len(datasets) == 0 {
-			return fmt.Errorf("no datasets in %s", dataDir)
 		}
 		res, err := gamma.Analyze(w, datasets)
 		if err != nil {

@@ -195,19 +195,7 @@ func writeHARs(dir string, ds *core.Dataset) (int, error) {
 		if !p.Load.OK {
 			continue
 		}
-		pl := browser.PageLoad{
-			SiteURL:    p.Load.URL,
-			SiteDomain: p.Load.Site,
-			OK:         p.Load.OK,
-			DurationMs: p.Load.DurationMs,
-		}
-		for _, r := range p.Load.Requests {
-			pl.Requests = append(pl.Requests, browser.NetRequest{
-				URL: r.URL, Domain: r.Domain, Type: r.Type,
-				Initiator: r.Initiator, Blocked: r.Blocked,
-			})
-		}
-		raw, err := pl.ToHAR(ds.StartedAt).JSON()
+		raw, err := browser.ToHAR(p.Load, ds.StartedAt).JSON()
 		if err != nil {
 			return n, err
 		}

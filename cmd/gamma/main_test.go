@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"os/exec"
@@ -8,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/gamma-suite/gamma/internal/browser"
 	"github.com/gamma-suite/gamma/internal/core"
 )
 
@@ -38,13 +40,75 @@ func TestRunRecordsDataset(t *testing.T) {
 	if ds.VolunteerIP != "" {
 		t.Error("anonymize flag should strip the IP")
 	}
-	hars, _ := os.ReadDir(filepath.Join(dir, "har"))
-	if len(hars) == 0 {
-		t.Error("HAR directory empty")
+	checkHARs(t, filepath.Join(dir, "har"), ds)
+
+	// The study's Chrome sessions block nothing, so mark a request of a
+	// loaded page blocked to see it exported as one.
+	blocked := false
+	for i := range ds.Pages {
+		if reqs := ds.Pages[i].Load.Requests; ds.Pages[i].Load.OK && len(reqs) > 1 {
+			reqs[1].Blocked, blocked = true, true
+			break
+		}
+	}
+	if !blocked {
+		t.Fatal("no loaded page with two requests")
+	}
+	blockedDir := filepath.Join(dir, "har-blocked")
+	if _, err := writeHARs(blockedDir, ds); err != nil {
+		t.Fatal(err)
+	}
+	checkHARs(t, blockedDir, ds)
+}
+
+// checkHARs requires dir to hold one HAR per loaded page of ds, each with
+// the page URL as title and one entry per recorded request, in order,
+// where blocked requests carry status 0 and the rest 200.
+func checkHARs(t *testing.T, dir string, ds *core.Dataset) {
+	t.Helper()
+	pages := map[string]core.PageRecord{}
+	for _, p := range ds.Pages {
+		if p.Load.OK {
+			pages[p.Target.Domain+".har"] = p.Load
+		}
+	}
+	hars, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hars) != len(pages) {
+		t.Errorf("%s holds %d files for %d loaded pages", dir, len(hars), len(pages))
 	}
 	for _, h := range hars {
-		if !strings.HasSuffix(h.Name(), ".har") {
+		load, ok := pages[h.Name()]
+		if !ok {
 			t.Errorf("unexpected HAR file %s", h.Name())
+			continue
+		}
+		raw, err := os.ReadFile(filepath.Join(dir, h.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var har browser.HAR
+		if err := json.Unmarshal(raw, &har); err != nil {
+			t.Fatalf("%s: %v", h.Name(), err)
+		}
+		if len(har.Log.Pages) != 1 || har.Log.Pages[0].Title != load.URL {
+			t.Errorf("%s: pages %+v, want one titled %s", h.Name(), har.Log.Pages, load.URL)
+		}
+		if len(har.Log.Entries) != len(load.Requests) {
+			t.Errorf("%s: %d entries for %d requests", h.Name(), len(har.Log.Entries), len(load.Requests))
+			continue
+		}
+		for i, e := range har.Log.Entries {
+			req := load.Requests[i]
+			want := 200
+			if req.Blocked {
+				want = 0
+			}
+			if e.Request.URL != req.URL || e.Response.Status != want {
+				t.Errorf("%s entry %d: %s status %d, want %s status %d", h.Name(), i, e.Request.URL, e.Response.Status, req.URL, want)
+			}
 		}
 	}
 }

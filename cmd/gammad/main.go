@@ -44,7 +44,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"syscall"
 	"time"
@@ -179,7 +178,7 @@ func buildSnapshot(ctx context.Context, seed uint64, dataDir string, workers int
 		}
 		return serve.Build(study.Result, study.World.Registry, gamma.PolicyRegistry(study.World), meta)
 	}
-	datasets, err := loadDatasets(dataDir)
+	datasets, err := core.LoadDatasetDir(dataDir)
 	if err != nil {
 		return nil, err
 	}
@@ -192,30 +191,4 @@ func buildSnapshot(ctx context.Context, seed uint64, dataDir string, workers int
 		return nil, err
 	}
 	return serve.Build(res, w.Registry, gamma.PolicyRegistry(w), meta)
-}
-
-// loadDatasets reads every *.json / *.json.gz volunteer dataset in dir,
-// in sorted filename order.
-func loadDatasets(dir string) ([]*core.Dataset, error) {
-	var files []string
-	for _, pattern := range []string{"*.json", "*.json.gz"} {
-		matches, err := filepath.Glob(filepath.Join(dir, pattern))
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, matches...)
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("no datasets in %s", dir)
-	}
-	sort.Strings(files)
-	datasets := make([]*core.Dataset, 0, len(files))
-	for _, f := range files {
-		ds, err := core.LoadDataset(f)
-		if err != nil {
-			return nil, err
-		}
-		datasets = append(datasets, ds)
-	}
-	return datasets, nil
 }

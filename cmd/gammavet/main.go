@@ -24,15 +24,14 @@
 //	go run ./cmd/gammavet -json ./internal/pipeline/...
 //	go run ./cmd/gammavet -chains ./internal/serve
 //	go run ./cmd/gammavet -graph ./internal/serve
-//	go run ./cmd/gammavet -write-baseline ./...   # grandfather current findings
 //
 // Findings are suppressible with a reasoned directive on or above the
 // offending line:
 //
 //	//gammavet:ignore maporder verdict is order-invariant: values all identical
 //
-// gammavet exits 2 on usage/load errors, 1 when any non-baselined
-// error-severity diagnostic remains, 0 otherwise.
+// gammavet exits 2 on usage/load errors, 1 when any error-severity
+// diagnostic remains, 0 otherwise.
 package main
 
 import (
@@ -48,14 +47,12 @@ import (
 
 func main() {
 	var (
-		dir           = flag.String("C", ".", "module root (directory containing go.mod)")
-		jsonOut       = flag.Bool("json", false, "emit diagnostics as a JSON array on stdout")
-		baselinePath  = flag.String("baseline", ".gammavet-baseline.json", "baseline file of grandfathered findings (relative to -C)")
-		writeBaseline = flag.Bool("write-baseline", false, "write current findings to the baseline file and exit 0")
-		checkNames    = flag.String("checks", "", "comma-separated subset of checks to run (default: all)")
-		listChecks    = flag.Bool("list", false, "list available checks and exit")
-		graphDump     = flag.Bool("graph", false, "dump the static call graph for the matched packages and exit")
-		chains        = flag.Bool("chains", false, "expand each interprocedural finding's call chain (text output)")
+		dir        = flag.String("C", ".", "module root (directory containing go.mod)")
+		jsonOut    = flag.Bool("json", false, "emit diagnostics as a JSON array on stdout")
+		checkNames = flag.String("checks", "", "comma-separated subset of checks to run (default: all)")
+		listChecks = flag.Bool("list", false, "list available checks and exit")
+		graphDump  = flag.Bool("graph", false, "dump the static call graph for the matched packages and exit")
+		chains     = flag.Bool("chains", false, "expand each interprocedural finding's call chain (text output)")
 	)
 	flag.Parse()
 
@@ -106,38 +103,18 @@ func main() {
 		os.Exit(2)
 	}
 
-	basePath := *baselinePath
-	if !strings.HasPrefix(basePath, "/") {
-		basePath = *dir + "/" + basePath
-	}
-	if *writeBaseline {
-		if err := lint.FromDiagnostics(diags).Save(basePath); err != nil {
-			fmt.Fprintln(os.Stderr, "gammavet:", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "gammavet: wrote %d finding(s) to %s\n", len(diags), basePath)
-		return
-	}
-	baseline, err := lint.LoadBaseline(basePath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "gammavet:", err)
-		os.Exit(2)
-	}
-	fresh, grandfathered := baseline.Filter(diags)
-
 	if *jsonOut {
-		out := fresh
-		if out == nil {
-			out = []lint.Diagnostic{}
+		if diags == nil {
+			diags = []lint.Diagnostic{}
 		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
+		if err := enc.Encode(diags); err != nil {
 			fmt.Fprintln(os.Stderr, "gammavet:", err)
 			os.Exit(2)
 		}
 	} else {
-		for _, d := range fresh {
+		for _, d := range diags {
 			fmt.Println(d)
 			if *chains {
 				for _, fr := range d.Chain {
@@ -145,13 +122,10 @@ func main() {
 				}
 			}
 		}
-		if len(grandfathered) > 0 {
-			fmt.Fprintf(os.Stderr, "gammavet: %d baselined finding(s) suppressed\n", len(grandfathered))
-		}
 	}
 
 	failing := 0
-	for _, d := range fresh {
+	for _, d := range diags {
 		if d.Severity == lint.Error {
 			failing++
 		}

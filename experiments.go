@@ -3,7 +3,6 @@ package gamma
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"net/netip"
@@ -404,16 +403,4 @@ func WriteExperimentsMarkdown(study *Study, w io.Writer) {
 		fmt.Fprintf(w, "| %s | %s | %s | %s | %s |\n", r.ID, r.Metric, r.Paper, r.Measured, mark)
 	}
 	fmt.Fprintf(w, "\n%d/%d qualitative claims reproduce.\n", okCount, len(rows))
-}
-
-// SortRowsByID orders experiment rows for stable output.
-func SortRowsByID(rows []ExperimentRow) {
-	sort.SliceStable(rows, func(i, j int) bool { return rows[i].ID < rows[j].ID })
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -34,7 +34,6 @@ import (
 	"net/netip"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"sync"
 	"time"
 
@@ -48,7 +47,6 @@ import (
 	"github.com/gamma-suite/gamma/internal/sched"
 	"github.com/gamma-suite/gamma/internal/targets"
 	"github.com/gamma-suite/gamma/internal/tracert"
-	"github.com/gamma-suite/gamma/internal/websim"
 	"github.com/gamma-suite/gamma/internal/worldgen"
 )
 
@@ -105,22 +103,7 @@ func SelectTargets(w *World) (map[string]Selection, error) {
 type simBrowser struct{ b *browser.Browser }
 
 func (s simBrowser) Load(_ context.Context, site string) (core.PageRecord, error) {
-	pl := s.b.Load(site)
-	rec := core.PageRecord{
-		Site:       pl.SiteDomain,
-		URL:        pl.SiteURL,
-		OK:         pl.OK,
-		FailReason: pl.FailReason,
-		DurationMs: pl.DurationMs,
-	}
-	for _, r := range pl.Requests {
-		rec.Requests = append(rec.Requests, core.RequestRecord{
-			URL: r.URL, Domain: r.Domain, Type: r.Type,
-			Initiator: r.Initiator, Blocked: r.Blocked,
-			ThirdParty: r.ThirdParty, SetCookies: r.SetCookies,
-		})
-	}
-	return rec, nil
+	return s.b.Load(site), nil
 }
 
 type simResolver struct {
@@ -197,13 +180,6 @@ func VolunteerEnv(w *World, cc string) (core.Env, core.Config, error) {
 	if !ok {
 		return core.Env{}, core.Config{}, fmt.Errorf("gamma: no volunteer in %s", cc)
 	}
-	return VolunteerEnvFor(w, vol)
-}
-
-// VolunteerEnvFor assembles the suite drivers for any volunteer — primary
-// or secondary (worlds built with SecondaryVantages recruit two per
-// country, lifting the paper's single-ISP limitation).
-func VolunteerEnvFor(w *World, vol *worldgen.Volunteer) (core.Env, core.Config, error) {
 	env, cfg := volunteerEnv(w, vol, "")
 	return env, cfg, nil
 }
@@ -531,24 +507,3 @@ func volunteerUnit(w *World, cc string, sel Selection, opts StudyOptions) func(c
 		return ds, nil
 	}
 }
-
-// SiteKindOf reports a domain's site kind in the world ("regional",
-// "government", "global"), for reporting.
-func SiteKindOf(w *World, domain string) (string, bool) {
-	site, ok := w.Web.Site(strings.ToLower(domain))
-	if !ok {
-		return "", false
-	}
-	return site.Kind.String(), true
-}
-
-// WebSiteCategory exposes a site's category for reporting.
-func WebSiteCategory(w *World, domain string) (string, bool) {
-	site, ok := w.Web.Site(domain)
-	if !ok {
-		return "", false
-	}
-	return site.Category, true
-}
-
-var _ = websim.Kind(0) // keep websim linked for documentation references

@@ -6,14 +6,15 @@
 // the paper tuned: a render wait (20 s) and a hard 180 s timeout after
 // which a wedged instance is killed and the tool moves on. It also injects
 // the background Google-services requests the Chrome webdriver generates,
-// which the analysis pipeline must strip (§5).
+// which the analysis pipeline must strip (§5). Each load is recorded as
+// the dataset's core.PageRecord, which ToHAR can also export as HAR 1.2.
 package browser
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
+	"github.com/gamma-suite/gamma/internal/core"
 	"github.com/gamma-suite/gamma/internal/filterlist"
 	"github.com/gamma-suite/gamma/internal/rng"
 	"github.com/gamma-suite/gamma/internal/websim"
@@ -91,45 +92,6 @@ func DefaultConfig(seed uint64, sessionID string) Config {
 	}
 }
 
-// NetRequest is one recorded network request.
-type NetRequest struct {
-	URL       string `json:"url"`
-	Domain    string `json:"domain"`
-	Type      string `json:"type"`
-	Initiator string `json:"initiator"` // "document", parent URL, or "webdriver"
-	Blocked   bool   `json:"blocked,omitempty"`
-	// ThirdParty marks requests to a different site than the page.
-	ThirdParty bool `json:"third_party,omitempty"`
-	// SetCookies names the cookies the response set.
-	SetCookies []string `json:"set_cookies,omitempty"`
-}
-
-// PageLoad is the outcome of one browser session on one target site.
-type PageLoad struct {
-	SiteURL    string       `json:"site_url"`
-	SiteDomain string       `json:"site_domain"`
-	OK         bool         `json:"ok"`
-	FailReason string       `json:"fail_reason,omitempty"`
-	DurationMs float64      `json:"duration_ms"`
-	Requests   []NetRequest `json:"requests,omitempty"`
-}
-
-// Domains returns the distinct requested (non-blocked) domains, sorted.
-func (p PageLoad) Domains() []string {
-	seen := map[string]bool{}
-	for _, r := range p.Requests {
-		if !r.Blocked {
-			seen[r.Domain] = true
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for d := range seen {
-		out = append(out, d)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Browser drives sessions against the synthetic web.
 type Browser struct {
 	web *websim.Web
@@ -149,16 +111,16 @@ func (b *Browser) Config() Config { return b.cfg }
 
 // Load opens an isolated session on the target site and records the network
 // requests observed during the page load.
-func (b *Browser) Load(siteDomain string) PageLoad {
+func (b *Browser) Load(siteDomain string) core.PageRecord {
 	siteDomain = strings.ToLower(siteDomain)
-	out := PageLoad{SiteDomain: siteDomain, SiteURL: "https://" + siteDomain + "/"}
+	out := core.PageRecord{Site: siteDomain, URL: "https://" + siteDomain + "/"}
 
 	site, ok := b.web.Site(siteDomain)
 	if !ok {
 		out.FailReason = "dns: no such host"
 		return out
 	}
-	out.SiteURL = site.URL()
+	out.URL = site.URL()
 
 	r := rng.New(b.cfg.Seed, "browser-load", b.cfg.SessionID, siteDomain)
 	if rng.Bernoulli(r, b.cfg.LoadFailureProb) {
@@ -189,12 +151,12 @@ func (b *Browser) Load(siteDomain string) PageLoad {
 		}
 	}
 	// The navigation itself is the first recorded request.
-	out.Requests = append(out.Requests, NetRequest{
-		URL: out.SiteURL, Domain: siteDomain, Type: "document", Initiator: "navigation",
+	out.Requests = append(out.Requests, core.RequestRecord{
+		URL: out.URL, Domain: siteDomain, Type: "document", Initiator: "navigation",
 	})
 	// The webdriver's own background traffic shows up in the request log.
 	for _, u := range b.cfg.WebdriverNoise {
-		out.Requests = append(out.Requests, NetRequest{
+		out.Requests = append(out.Requests, core.RequestRecord{
 			URL: u, Domain: websim.DomainOf(u), Type: "xhr", Initiator: "webdriver",
 		})
 	}
@@ -216,7 +178,7 @@ func (b *Browser) Load(siteDomain string) PageLoad {
 			continue
 		}
 		seen[it.ref.URL] = true
-		req := NetRequest{
+		req := core.RequestRecord{
 			URL:        it.ref.URL,
 			Domain:     websim.DomainOf(it.ref.URL),
 			Type:       it.ref.Type,

@@ -2,10 +2,12 @@ package browser
 
 import (
 	"encoding/json"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/gamma-suite/gamma/internal/core"
 	"github.com/gamma-suite/gamma/internal/filterlist"
 	"github.com/gamma-suite/gamma/internal/websim"
 )
@@ -89,6 +91,23 @@ func TestParseHTMLMalformed(t *testing.T) {
 	}
 }
 
+// requestedDomains returns the distinct requested (non-blocked) domains of
+// a page load, sorted.
+func requestedDomains(p core.PageRecord) []string {
+	seen := map[string]bool{}
+	for _, r := range p.Requests {
+		if !r.Blocked {
+			seen[r.Domain] = true
+		}
+	}
+	out := make([]string, 0, len(seen))
+	for d := range seen {
+		out = append(out, d)
+	}
+	sort.Strings(out)
+	return out
+}
+
 func TestLoadRecordsChainedRequests(t *testing.T) {
 	w := testWeb(t)
 	b := New(w, DefaultConfig(1, "vol-pk"))
@@ -96,7 +115,7 @@ func TestLoadRecordsChainedRequests(t *testing.T) {
 	if !pl.OK {
 		t.Fatalf("load failed: %s", pl.FailReason)
 	}
-	domains := pl.Domains()
+	domains := requestedDomains(pl)
 	joined := strings.Join(domains, ",")
 	for _, want := range []string{"tagmanager.trk.example", "analytics.trk.example", "collect.trk.example", "ads.adnet.example"} {
 		if !strings.Contains(joined, want) {
@@ -216,7 +235,7 @@ func TestBraveBlocksTrackers(t *testing.T) {
 		t.Error("blocked script must not trigger chained loads")
 	}
 	// Unblocked first-party assets still load.
-	if len(pl.Domains()) == 0 {
+	if len(requestedDomains(pl)) == 0 {
 		t.Error("first-party assets should still be recorded")
 	}
 }
@@ -251,7 +270,7 @@ func TestHARExport(t *testing.T) {
 	b := New(w, DefaultConfig(1, "vol-pk"))
 	pl := b.Load("news.example.pk")
 	start := time.Date(2024, 3, 16, 12, 0, 0, 0, time.UTC)
-	har := pl.ToHAR(start)
+	har := ToHAR(pl, start)
 	if har.Log.Version != "1.2" {
 		t.Errorf("HAR version = %q", har.Log.Version)
 	}

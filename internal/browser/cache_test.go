@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/gamma-suite/gamma/internal/core"
 	"github.com/gamma-suite/gamma/internal/websim"
 )
 
@@ -89,7 +90,7 @@ func TestParseCacheConcurrentRace(t *testing.T) {
 		domain, cc string
 	}
 	var loads []load
-	want := map[load]PageLoad{}
+	want := map[load]core.PageRecord{}
 	for i := 0; i < nSites; i++ {
 		domain := fmt.Sprintf("site%02d.example", i)
 		for _, cc := range countries {

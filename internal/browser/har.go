@@ -3,6 +3,8 @@ package browser
 import (
 	"encoding/json"
 	"time"
+
+	"github.com/gamma-suite/gamma/internal/core"
 )
 
 // HAR is the HTTP Archive 1.2 document Gamma can persist for each page
@@ -60,16 +62,17 @@ type HARResponse struct {
 	StatusText string `json:"statusText"`
 }
 
-// ToHAR converts a page load into a HAR document. start anchors the
-// timeline (the suite passes the study clock, keeping output deterministic).
-func (p PageLoad) ToHAR(start time.Time) HAR {
+// ToHAR converts a recorded page load into a HAR document. start anchors
+// the timeline (the suite passes the study clock, keeping output
+// deterministic).
+func ToHAR(p core.PageRecord, start time.Time) HAR {
 	h := HAR{Log: HARLog{
 		Version: "1.2",
 		Creator: HARCreator{Name: "gamma", Version: "1.0"},
 		Pages: []HARPage{{
 			StartedDateTime: start.UTC().Format(time.RFC3339),
 			ID:              "page_1",
-			Title:           p.SiteURL,
+			Title:           p.URL,
 			PageTimings:     HARPageTimings{OnLoad: p.DurationMs},
 		}},
 	}}

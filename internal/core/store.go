@@ -10,6 +10,7 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 )
 
@@ -84,6 +85,34 @@ func LoadDataset(path string) (*Dataset, error) {
 		return nil, fmt.Errorf("core: dataset %s: %w", path, err)
 	}
 	return ds, nil
+}
+
+// LoadDatasetDir loads every dataset SaveDataset could have written into
+// dir — the "*.json" and "*.json.gz" files, in sorted name order — through
+// LoadDataset. Other files, ".tmp" leftovers of an interrupted save
+// included, are ignored. A directory holding no dataset is an error.
+func LoadDatasetDir(dir string) ([]*Dataset, error) {
+	var files []string
+	for _, pattern := range []string{"*.json", "*.json.gz"} {
+		matches, err := filepath.Glob(filepath.Join(dir, pattern))
+		if err != nil {
+			return nil, fmt.Errorf("core: list datasets: %w", err)
+		}
+		files = append(files, matches...)
+	}
+	if len(files) == 0 {
+		return nil, fmt.Errorf("core: no datasets in %s", dir)
+	}
+	sort.Strings(files)
+	datasets := make([]*Dataset, 0, len(files))
+	for _, f := range files {
+		ds, err := LoadDataset(f)
+		if err != nil {
+			return nil, err
+		}
+		datasets = append(datasets, ds)
+	}
+	return datasets, nil
 }
 
 // readDataset returns the JSON held by the dataset file at path. It

@@ -78,6 +78,38 @@ func TestSaveLoadDatasetGzip(t *testing.T) {
 	}
 }
 
+func TestLoadDatasetDir(t *testing.T) {
+	dir := t.TempDir()
+	for _, id := range []string{"b.json.gz", "a.json"} {
+		ds := sampleDataset(t)
+		ds.VolunteerID = id
+		if err := SaveDataset(filepath.Join(dir, id), ds); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Neither is a dataset name: loading them would fail the test.
+	for _, name := range []string{"c.json.tmp", "d.json.bak"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("not json"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := LoadDatasetDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, ds := range got {
+		ids = append(ids, ds.VolunteerID)
+	}
+	if want := []string{"a.json", "b.json.gz"}; !reflect.DeepEqual(ids, want) {
+		t.Errorf("loaded %v, want %v", ids, want)
+	}
+	empty := t.TempDir()
+	if _, err := LoadDatasetDir(empty); err == nil || !strings.Contains(err.Error(), "no datasets in "+empty) {
+		t.Errorf("empty dir: err = %v, want \"no datasets in %s\"", err, empty)
+	}
+}
+
 // writeGzip writes raw gzip-compressed to path and returns the file bytes.
 func writeGzip(t *testing.T, path string, raw []byte) []byte {
 	t.Helper()

@@ -24,7 +24,7 @@ import (
 type Severity string
 
 const (
-	// Error findings fail the build (exit nonzero) unless baselined.
+	// Error findings fail the build (exit nonzero).
 	Error Severity = "error"
 	// Warn findings are reported but do not affect the exit code.
 	Warn Severity = "warn"

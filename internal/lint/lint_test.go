@@ -161,10 +161,10 @@ func TestFixtures(t *testing.T) {
 }
 
 // TestSelfRun enforces the analyzer's acceptance bar on the real tree:
-// all seven checks over every package in the module, zero findings with
-// an empty baseline. It also covers the allowlists in the negative —
-// internal/sched/clock.go touches time.Now/time.After and internal/rng
-// builds raw PCG sources, and neither may be flagged — and the hot-path
+// all seven checks over every package in the module, zero findings. It
+// also covers the allowlists in the negative — internal/sched/clock.go
+// touches time.Now/time.After and internal/rng builds raw PCG sources,
+// and neither may be flagged — and the hot-path
 // annotations seeded on the serving and filter-matching paths, which must
 // hold allocation-free under the interprocedural hotalloc sweep.
 func TestSelfRun(t *testing.T) {

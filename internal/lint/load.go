@@ -48,11 +48,6 @@ type Loader struct {
 	std     types.ImporterFrom
 	pkgs    map[string]*Package // by import path
 	loading map[string]bool     // cycle guard
-	// IncludeTests adds *_test.go files of the package itself (not
-	// external _test packages) to the analysis. Off by default: the
-	// determinism invariants govern output-producing code, and tests are
-	// the designated home of wall-clock allowances.
-	IncludeTests bool
 }
 
 // NewLoader reads go.mod under root and prepares a loader.
@@ -212,10 +207,10 @@ func (l *Loader) load(importPath, dir string) (*Package, error) {
 	if err != nil {
 		return nil, err // includes *build.NoGoError for Go-free dirs
 	}
+	// Only non-test files: the determinism invariants govern
+	// output-producing code, and tests are the designated home of
+	// wall-clock allowances.
 	names := append([]string(nil), bp.GoFiles...)
-	if l.IncludeTests {
-		names = append(names, bp.TestGoFiles...)
-	}
 	sort.Strings(names)
 
 	var files []*ast.File
