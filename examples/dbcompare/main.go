@@ -37,7 +37,7 @@ func main() {
 	}
 	fmt.Printf("\nlocal/non-local verdict flips vs ripe-ipmap (PK vantage, %d servers):\n", len(addrs))
 	for _, name := range []string{"maxmind-sim", "dbip-sim", "ipinfo-sim"} {
-		flips := gamma.ClassifyWithDB(world, "PK", world.AltDBs[name], addrs)
+		flips := gamma.ClassifyWithDB(world, "PK", world.AltDBs()[name], addrs)
 		fmt.Printf("  %-12s %4d flips (%.1f%%)\n", name, flips, 100*float64(flips)/float64(len(addrs)))
 	}
 	fmt.Println("\n=> provider choice alone moves hundreds of verdicts — why §4.1 validates")

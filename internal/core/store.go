@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Size caps on a dataset file, which arrives from a volunteer. The 23
@@ -24,6 +25,10 @@ const (
 	// maxDeflateRatio is the most DEFLATE can expand its input, so a
 	// gzip trailer claiming more than that is a lie.
 	maxDeflateRatio = 1032
+	// maxPooledReadBytes is the largest read buffer a load hands on to the
+	// next one. A study's largest dataset is about 1 MB of JSON; one
+	// outsized file's buffer is dropped, not kept for the process's life.
+	maxPooledReadBytes = 8 << 20
 )
 
 // SaveDataset writes a dataset as compact JSON, creating parent
@@ -70,7 +75,34 @@ func SaveDataset(path string, ds *Dataset) error {
 // files written before SaveDataset switched to compact JSON included,
 // goes through encoding/json, which yields the same dataset or the error.
 func LoadDataset(path string) (*Dataset, error) {
-	raw, err := readDataset(path, maxDatasetFileBytes, maxDatasetJSONBytes)
+	dr := datasetReaders.Get().(*datasetReader)
+	defer dr.release()
+	return dr.load(path)
+}
+
+// datasetReader holds what reading a dataset file needs and the next read
+// can reuse: the buffer the JSON lands in and a gzip reader. Reuse is safe
+// because both decoders copy every string they keep, so no loaded dataset
+// aliases the buffer.
+type datasetReader struct {
+	buf bytes.Buffer
+	zr  *gzip.Reader
+}
+
+// datasetReaders pools datasetReaders across loads, concurrent ones
+// included: a reload decodes some two dozen files back to back.
+var datasetReaders = sync.Pool{New: func() any { return new(datasetReader) }}
+
+// release returns dr to the pool unless its buffer grew too large to keep.
+func (dr *datasetReader) release() {
+	if dr.buf.Cap() <= maxPooledReadBytes {
+		datasetReaders.Put(dr)
+	}
+}
+
+// load reads, decodes and validates the dataset at path; see LoadDataset.
+func (dr *datasetReader) load(path string) (*Dataset, error) {
+	raw, err := dr.read(path, maxDatasetFileBytes, maxDatasetJSONBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -115,10 +147,11 @@ func LoadDatasetDir(dir string) ([]*Dataset, error) {
 	return datasets, nil
 }
 
-// readDataset returns the JSON held by the dataset file at path. It
-// refuses a file larger than fileCap bytes and, for ".gz" files, JSON
-// larger than jsonCap bytes once decompressed.
-func readDataset(path string, fileCap, jsonCap int64) ([]byte, error) {
+// read returns the JSON held by the dataset file at path, in dr's buffer:
+// it is valid until dr's next read. It refuses a file larger than fileCap
+// bytes and, for ".gz" files, JSON larger than jsonCap bytes once
+// decompressed.
+func (dr *datasetReader) read(path string, fileCap, jsonCap int64) ([]byte, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("core: read dataset: %w", err)
@@ -133,7 +166,7 @@ func readDataset(path string, fileCap, jsonCap int64) ([]byte, error) {
 		return nil, fmt.Errorf("core: dataset %s is %d bytes, over the %d-byte limit", path, size, fileCap)
 	}
 	if !strings.HasSuffix(path, ".gz") {
-		raw, err := readCapped(f, size, fileCap)
+		raw, err := readCapped(&dr.buf, f, size, fileCap)
 		if err != nil {
 			return nil, fmt.Errorf("core: read dataset %s: %w", path, err)
 		}
@@ -149,22 +182,31 @@ func readDataset(path string, fileCap, jsonCap int64) ([]byte, error) {
 			hint = min(int64(binary.LittleEndian.Uint32(isize[:])), size*maxDeflateRatio)
 		}
 	}
-	zr, err := gzip.NewReader(io.LimitReader(f, fileCap))
+	src := io.LimitReader(f, fileCap)
+	if dr.zr == nil {
+		var zr *gzip.Reader
+		if zr, err = gzip.NewReader(src); err == nil {
+			dr.zr = zr
+		}
+	} else {
+		err = dr.zr.Reset(src)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("core: decompress dataset %s: %w", path, err)
 	}
-	raw, err := readCapped(zr, hint, jsonCap)
+	raw, err := readCapped(&dr.buf, dr.zr, hint, jsonCap)
 	if err != nil {
 		return nil, fmt.Errorf("core: decompress dataset %s: %w", path, err)
 	}
 	return raw, nil
 }
 
-// readCapped reads r to EOF into a buffer pre-sized to sizeHint, failing
-// once more than limit bytes arrive. Unlike io.ReadAll, a correct hint
-// reads without regrowing the buffer.
-func readCapped(r io.Reader, sizeHint, limit int64) ([]byte, error) {
-	var buf bytes.Buffer
+// readCapped reads r to EOF into buf, emptied and grown to sizeHint
+// first, failing once more than limit bytes arrive. Unlike io.ReadAll, a
+// correct hint reads without regrowing the buffer, and a reused buffer
+// already large enough is not reallocated at all.
+func readCapped(buf *bytes.Buffer, r io.Reader, sizeHint, limit int64) ([]byte, error) {
+	buf.Reset()
 	// ReadFrom wants MinRead free bytes before every read, the one that
 	// reports EOF included.
 	buf.Grow(int(min(max(sizeHint, 0), limit)) + bytes.MinRead)

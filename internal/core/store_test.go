@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -227,7 +228,7 @@ func TestReadDatasetCaps(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			raw, err := readDataset(tc.path, tc.fileCap, tc.jsonCap)
+			raw, err := new(datasetReader).read(tc.path, tc.fileCap, tc.jsonCap)
 			if tc.ok {
 				if err != nil || !bytes.Equal(raw, compact) {
 					t.Fatalf("err = %v, %d bytes; want the %d JSON bytes", err, len(raw), n)
@@ -327,5 +328,104 @@ func TestValidate(t *testing.T) {
 				t.Fatalf("err = %v, want %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// twoDatasets saves two datasets whose JSON has the same length but
+// different bytes, as plain and as gzip files, so a read buffer reused for
+// the second holds it in exactly the bytes the first was read into.
+func twoDatasets(t *testing.T) (a, b *Dataset, paths map[string][2]string) {
+	t.Helper()
+	a = sampleDataset(t)
+	raw, err := json.Marshal(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b = new(Dataset)
+	if err := json.Unmarshal(raw, b); err != nil {
+		t.Fatal(err)
+	}
+	for i := range b.Pages {
+		b.Pages[i].Load.URL = strings.ToUpper(b.Pages[i].Load.URL)
+	}
+	dir := t.TempDir()
+	paths = map[string][2]string{}
+	for _, ext := range []string{".json", ".json.gz"} {
+		pa, pb := filepath.Join(dir, "a"+ext), filepath.Join(dir, "b"+ext)
+		if err := SaveDataset(pa, a); err != nil {
+			t.Fatal(err)
+		}
+		if err := SaveDataset(pb, b); err != nil {
+			t.Fatal(err)
+		}
+		paths[ext] = [2]string{pa, pb}
+	}
+	return a, b, paths
+}
+
+// TestLoadDatasetReusedBufferLeavesResultIntact loads two different
+// datasets back to back through one reader, so the second read overwrites
+// the buffer the first was decoded from; the first result must not change.
+func TestLoadDatasetReusedBufferLeavesResultIntact(t *testing.T) {
+	a, b, paths := twoDatasets(t)
+	wantA, _ := json.Marshal(a)
+	for ext, p := range paths {
+		dr := new(datasetReader)
+		gotA, err := dr.load(p[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := &dr.buf.Bytes()[0]
+		gotB, err := dr.load(p[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &dr.buf.Bytes()[0] != first {
+			t.Fatalf("%s: the second read did not reuse the first's buffer", ext)
+		}
+		if !reflect.DeepEqual(gotB, b) {
+			t.Errorf("%s: second dataset did not round-trip", ext)
+		}
+		if got, _ := json.Marshal(gotA); !reflect.DeepEqual(gotA, a) || !bytes.Equal(got, wantA) {
+			t.Errorf("%s: first dataset changed when the second was read into its buffer", ext)
+		}
+	}
+}
+
+// TestLoadDatasetConcurrent loads two datasets from many goroutines at
+// once through the shared reader pool; run under -race, it also checks that
+// no pooled reader is used by two loads at a time.
+func TestLoadDatasetConcurrent(t *testing.T) {
+	a, b, paths := twoDatasets(t)
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				for _, p := range paths {
+					gotA, err := LoadDataset(p[0])
+					if err != nil {
+						errs <- err
+						return
+					}
+					gotB, err := LoadDataset(p[1])
+					if err != nil {
+						errs <- err
+						return
+					}
+					if !reflect.DeepEqual(gotA, a) || !reflect.DeepEqual(gotB, b) {
+						errs <- errors.New("a concurrent load returned a different dataset")
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

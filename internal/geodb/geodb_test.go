@@ -1,6 +1,7 @@
 package geodb
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/gamma-suite/gamma/internal/geo"
@@ -191,6 +192,25 @@ func TestParseHintFullCityName(t *testing.T) {
 	c, ok = ParseHintCity("ix.hongkongcity.example.net", reg)
 	if ok {
 		t.Errorf("partial token should not match: %v", c)
+	}
+	// Every city whose name is one letter run once spaces are dropped
+	// parses from it, in any case ("Saint-Ghislain" is two runs).
+	for cityID := range cityCodes {
+		name, _, _ := strings.Cut(cityID, ",")
+		name = strings.ReplaceAll(name, " ", "")
+		if len(splitTokens(strings.ToLower(name))) != 1 {
+			continue
+		}
+		host := "core1." + name + ".example.net"
+		if c, ok := ParseHintCity(host, reg); !ok || c.ID() != cityID {
+			t.Errorf("ParseHintCity(%q) = %s (%v), want %s", host, c.ID(), ok, cityID)
+		}
+	}
+	// Two city names: the leftmost wins, on every call.
+	for i := 0; i < 20; i++ {
+		if c, _ := ParseHintCity("paris.london.example.net", reg); c.ID() != "Paris, FR" {
+			t.Fatalf("two city names parsed to %s, want the leftmost, Paris, FR", c.ID())
+		}
 	}
 }
 

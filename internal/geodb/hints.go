@@ -62,6 +62,23 @@ var codeToCity = func() map[string]string {
 	return m
 }()
 
+// cityByName indexes the same cities by name as a hostname spells it:
+// lowercase, spaces dropped ("Buenos Aires, AR" is "buenosaires"). Built
+// once at init; a name shared by two cities would make a name hint
+// ambiguous, so it panics like a shared code does.
+var cityByName = func() map[string]string {
+	m := make(map[string]string, len(cityCodes))
+	for cityID := range cityCodes {
+		name, _, _ := strings.Cut(cityID, ",")
+		name = strings.ReplaceAll(strings.ToLower(name), " ", "")
+		if prev, dup := m[name]; dup {
+			panic(fmt.Sprintf("geodb: city name %q used by both %q and %q", name, prev, cityID))
+		}
+		m[name] = cityID
+	}
+	return m
+}()
+
 // CityCode returns the airport-style hostname code for a city.
 func CityCode(c geo.City) (string, bool) {
 	code, ok := cityCodes[c.ID()]
@@ -89,23 +106,20 @@ func OpaqueHostname(orgDomain string, idx int) string {
 // hostname token that is a known city code or a full city name resolves to
 // that city. ok is false when the name carries no recognizable hint.
 func ParseHintCity(hostname string, reg *geo.Registry) (geo.City, bool) {
-	hostname = strings.ToLower(hostname)
-	for _, token := range splitTokens(hostname) {
+	tokens := splitTokens(strings.ToLower(hostname))
+	for _, token := range tokens {
 		if cityID, ok := codeToCity[token]; ok {
 			if c, ok := reg.City(cityID); ok {
 				return c, true
 			}
 		}
 	}
-	// Full city names (rare but real: "frankfurt.de.example.net").
-	for cityID := range cityCodes {
-		name := strings.ToLower(strings.SplitN(cityID, ",", 2)[0])
-		name = strings.ReplaceAll(name, " ", "")
-		for _, token := range splitTokens(hostname) {
-			if token == name {
-				if c, ok := reg.City(cityID); ok {
-					return c, true
-				}
+	// Full city names (rare but real: "frankfurt.de.example.net"). When
+	// tokens name two different cities, the leftmost wins.
+	for _, token := range tokens {
+		if cityID, ok := cityByName[token]; ok {
+			if c, ok := reg.City(cityID); ok {
+				return c, true
 			}
 		}
 	}

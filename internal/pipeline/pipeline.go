@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"net/netip"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 
@@ -545,14 +546,21 @@ func processCountry(env Env, match *matchers, fw *geoloc.Framework, ds *core.Dat
 		cr.Verdicts[domain] = obs
 	}
 
-	var verdictList []geoloc.Verdict
+	verdictList := make([]geoloc.Verdict, 0, len(cr.Verdicts))
 	//gammavet:ignore maporder Tally only counts (Class, Stage) occurrences, so the result is independent of element order
 	for _, obs := range cr.Verdicts {
 		verdictList = append(verdictList, geoloc.Verdict{Class: obs.Class, Stage: obs.Stage})
 	}
 	cr.Funnel = geoloc.Tally(verdictList)
 
-	// Materialize per-site results.
+	// Materialize per-site results. Each site's observations are gathered
+	// in one scratch slice and seen set reused across sites, then copied
+	// out at their final size.
+	if len(ds.Pages) > 0 {
+		cr.Sites = make([]SiteResult, 0, len(ds.Pages))
+	}
+	var siteObs []DomainObs
+	seen := map[string]bool{}
 	for _, p := range ds.Pages {
 		cr.Targets++
 		sr := SiteResult{
@@ -567,7 +575,8 @@ func processCountry(env Env, match *matchers, fw *geoloc.Framework, ds *core.Dat
 		}
 		if p.Load.OK {
 			cr.LoadedOK++
-			seen := map[string]bool{}
+			clear(seen)
+			siteObs = siteObs[:0]
 			for _, rec := range p.DNS {
 				if isNoise(rec.Domain) || seen[rec.Domain] {
 					continue
@@ -579,8 +588,11 @@ func processCountry(env Env, match *matchers, fw *geoloc.Framework, ds *core.Dat
 					// follows the CNAME target, so it never counts as one.
 					obs.FirstParty = !obs.Cloaked && env.Orgs != nil &&
 						env.Orgs.IsFirstParty(p.Target.Domain, rec.Domain)
-					sr.Domains = append(sr.Domains, obs)
+					siteObs = append(siteObs, obs)
 				}
+			}
+			if len(siteObs) > 0 {
+				sr.Domains = slices.Clone(siteObs)
 			}
 		}
 		cr.Sites = append(cr.Sites, sr)

@@ -64,31 +64,39 @@ func (l *List) PublicSuffix(domain string) string {
 	if domain == "" {
 		return ""
 	}
-	labels := strings.Split(domain, ".")
 	// Walk suffixes from longest to shortest so the longest matching rule
-	// wins; handle exceptions and wildcards per the PSL algorithm.
-	for i := 0; i < len(labels); i++ {
-		suffix := strings.Join(labels[i:], ".")
-		kind, ok := l.rules[suffix]
-		if !ok {
-			continue
-		}
-		switch kind {
-		case ruleException:
-			// Public suffix is the exception rule minus its leftmost label.
-			return strings.Join(labels[i+1:], ".")
-		case ruleWildcard:
-			// Wildcard covers one label to the left of the rule.
-			if i > 0 {
-				return strings.Join(labels[i-1:], ".")
+	// wins; handle exceptions and wildcards per the PSL algorithm. Each
+	// candidate is the text after a dot, so no label slice is built and
+	// the answer is a substring of domain.
+	prev := -1 // start of the label left of the candidate, -1 at the first
+	for start := 0; ; {
+		suffix := domain[start:]
+		dot := strings.IndexByte(suffix, '.')
+		if kind, ok := l.rules[suffix]; ok {
+			switch kind {
+			case ruleException:
+				// Public suffix is the exception rule minus its leftmost label.
+				if dot < 0 {
+					return ""
+				}
+				return suffix[dot+1:]
+			case ruleWildcard:
+				// Wildcard covers one label to the left of the rule.
+				if prev >= 0 {
+					return domain[prev:]
+				}
+				return suffix
+			default:
+				return suffix
 			}
-			return suffix
-		default:
-			return suffix
 		}
+		if dot < 0 {
+			break
+		}
+		prev, start = start, start+dot+1
 	}
 	// Default rule "*": the rightmost label.
-	return labels[len(labels)-1]
+	return domain[strings.LastIndexByte(domain, '.')+1:]
 }
 
 // ETLDPlusOne returns the registrable domain: the public suffix plus the
@@ -102,9 +110,12 @@ func (l *List) ETLDPlusOne(domain string) (string, error) {
 	if domain == suffix {
 		return "", fmt.Errorf("tld: %q is a public suffix", domain)
 	}
-	rest := strings.TrimSuffix(domain, "."+suffix)
-	labels := strings.Split(rest, ".")
-	return labels[len(labels)-1] + "." + suffix, nil
+	// The answer is the label left of "."+suffix, plus "."+suffix: when
+	// domain ends in "."+suffix, that is a tail of domain.
+	if cut := len(domain) - len(suffix) - 1; cut >= 0 && domain[cut] == '.' && domain[cut+1:] == suffix {
+		return domain[strings.LastIndexByte(domain[:cut], '.')+1:], nil
+	}
+	return domain[strings.LastIndexByte(domain, '.')+1:] + "." + suffix, nil
 }
 
 // RegistrableOrSelf is a tolerant variant of ETLDPlusOne used when

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"net/netip"
+	"slices"
 	"sort"
 	"strings"
 
@@ -35,61 +36,43 @@ func quotaInflation(foreignMean float64) float64 {
 	return 1 + 0.30/(1+foreignMean/3)
 }
 
-// top50 retains each country's regional ranking for the rankings step.
+// siteLists holds each country's generated site lists for the rankings
+// step.
 type siteLists struct {
 	top50 map[string][]string // country -> T_reg ranking (50 proper sites)
 	extra map[string][]string // country -> rank 51+ pool (ranking fodder)
 	gov   map[string][]string // country -> all gov domains
 }
 
-// foreignHostnamePick samples n tracker hostnames served non-locally for
-// the country, weighted by org prominence. Google's weight means most
-// selections include several Google endpoints, matching the outlier
+// appendTrackerHostnames appends up to n distinct tracker hostnames whose
+// effective destination for the country is foreign (foreign) or local
+// (!foreign), sampled by org prominence, to dst. Google's weight means
+// most selections include several Google endpoints, matching the outlier
 // anatomy in §6.2.
-func (b *builder) pickTrackerHostnames(cc string, n int, foreign, gov bool, r *rand.Rand) []string {
-	type cand struct {
-		rt *orgRuntime
-		w  float64
+func (b *builder) appendTrackerHostnames(dst []string, cc string, n int, foreign, gov bool, r *rand.Rand) []string {
+	cands := b.trackerCandidates(cc, foreign, gov)
+	if len(cands.rts) == 0 || n <= 0 {
+		return dst
 	}
-	var cands []cand
-	for _, rt := range b.orgRTs {
-		if _, ok := rt.serve[cc]; !ok {
-			continue
-		}
-		if gov && rt.spec.ServeOnlyFromUS && cc != "AE" {
-			// Government sites direct flows to the US only from the UAE
-			// in the observed data (§6.3).
-			continue
-		}
-		// The org qualifies if it has at least one hostname whose
-		// effective destination matches the requested locality (cache
-		// domains are always local; ad domains follow the serving map).
-		if len(b.matchingHostnames(rt, cc, foreign)) == 0 {
-			continue
-		}
-		cands = append(cands, cand{rt, rt.spec.Weight})
-	}
-	if len(cands) == 0 || n <= 0 {
-		return nil
-	}
-	weights := make([]float64, len(cands))
-	for i, c := range cands {
-		weights[i] = c.w
-	}
-	used := map[string]bool{}
-	var out []string
-	for len(out) < n {
+	// The draw loop halves the weights of orgs that run out of unused
+	// hostnames, so it works on a copy of the memoized weights.
+	weights := append([]float64(nil), cands.weights...)
+	dst = slices.Grow(dst, n)
+	start := len(dst)
+	for len(dst)-start < n {
 		idx := rng.WeightedIndex(r, weights)
 		if idx < 0 {
 			break
 		}
-		rt := cands[idx].rt
-		pool := b.matchingHostnames(rt, cc, foreign)
+		pool := b.matchingHostnames(cands.rts[idx], cc, foreign)
 		h := pool[r.IntN(len(pool))]
-		if used[h] {
+		// n is at most a few dozen, so scanning this call's picks is
+		// cheaper than keeping a set.
+		picked := dst[start:]
+		if contains(picked, h) {
 			// Allow a bounded number of re-draws before giving up on this
 			// round; large orgs have plenty of hostnames.
-			if retry := pool[r.IntN(len(pool))]; !used[retry] {
+			if retry := pool[r.IntN(len(pool))]; !contains(picked, retry) {
 				h = retry
 			} else {
 				weights[idx] *= 0.5
@@ -106,10 +89,55 @@ func (b *builder) pickTrackerHostnames(cc string, n int, foreign, gov bool, r *r
 				continue
 			}
 		}
-		used[h] = true
-		out = append(out, h)
+		dst = append(dst, h)
 	}
-	return out
+	return dst
+}
+
+// trackerCands are the orgs one appendTrackerHostnames draw chooses among,
+// in catalog order, with their prominence weights.
+type trackerCands struct {
+	rts     []*orgRuntime
+	weights []float64
+}
+
+// candKey identifies one trackerCandidates result.
+type candKey struct {
+	cc           string
+	foreign, gov bool
+}
+
+// trackerCandidates returns the orgs that serve cc and have at least one
+// hostname of the requested locality (cache domains are always local; ad
+// domains follow the serving map). Like matchingHostnames, results are
+// memoized over inputs frozen before site building starts; callers must
+// treat them as read-only.
+func (b *builder) trackerCandidates(cc string, foreign, gov bool) trackerCands {
+	key := candKey{cc: cc, foreign: foreign, gov: gov}
+	if c, ok := b.candMemo[key]; ok {
+		return c
+	}
+	var c trackerCands
+	for _, rt := range b.orgRTs {
+		if _, ok := rt.serve[cc]; !ok {
+			continue
+		}
+		if gov && rt.spec.ServeOnlyFromUS && cc != "AE" {
+			// Government sites direct flows to the US only from the UAE
+			// in the observed data (§6.3).
+			continue
+		}
+		if len(b.matchingHostnames(rt, cc, foreign)) == 0 {
+			continue
+		}
+		c.rts = append(c.rts, rt)
+		c.weights = append(c.weights, rt.spec.Weight)
+	}
+	if b.candMemo == nil {
+		b.candMemo = make(map[candKey]trackerCands)
+	}
+	b.candMemo[key] = c
+	return c
 }
 
 // foreignTrackerPool picks one foreign-serving tracker hostname for cc.
@@ -154,29 +182,35 @@ func (b *builder) matchingHostnames(rt *orgRuntime, cc string, foreign bool) []s
 // orgOfHostname resolves a tracker hostname to its org name.
 func (b *builder) orgOfHostname(h string) string { return b.world.TrackerHostnames[h] }
 
-// firstPartyResources returns the site's own static assets.
-func firstPartyResources(domain string, r *rand.Rand) []websim.Resource {
-	out := []websim.Resource{
-		{URL: "https://static." + domain + "/styles.css", Type: "css"},
-		{URL: "https://static." + domain + "/logo.png", Type: "img"},
+// Most resources appendFirstPartyResources and appendInfraResources add.
+const (
+	maxFirstPartyResources = 5
+	maxInfraResources      = 3
+)
+
+// appendFirstPartyResources appends the site's own static assets to dst.
+func appendFirstPartyResources(dst []websim.Resource, domain string, r *rand.Rand) []websim.Resource {
+	dst = append(dst,
+		websim.Resource{URL: "https://static." + domain + "/styles.css", Type: "css"},
+		websim.Resource{URL: "https://static." + domain + "/logo.png", Type: "img"},
+	)
+	if r.IntN(2) == 0 {
+		dst = append(dst, websim.Resource{URL: "https://static." + domain + "/hero.jpg", Type: "img"})
 	}
 	if r.IntN(2) == 0 {
-		out = append(out, websim.Resource{URL: "https://static." + domain + "/hero.jpg", Type: "img"})
-	}
-	if r.IntN(2) == 0 {
-		out = append(out, websim.Resource{URL: "https://cdn." + domain + "/bundle.js", Type: "script"})
+		dst = append(dst, websim.Resource{URL: "https://cdn." + domain + "/bundle.js", Type: "script"})
 	}
 	if r.IntN(3) == 0 {
-		out = append(out, websim.Resource{URL: "https://api." + domain + "/session", Type: "xhr"})
+		dst = append(dst, websim.Resource{URL: "https://api." + domain + "/session", Type: "xhr"})
 	}
-	return out
+	return dst
 }
 
-// infraResources picks 2-3 shared-infrastructure dependencies.
-func infraResources(r *rand.Rand) []websim.Resource {
+// appendInfraResources appends 2-3 shared-infrastructure dependencies to
+// dst.
+func appendInfraResources(dst []websim.Resource, r *rand.Rand) []websim.Resource {
 	n := 2 + r.IntN(2)
 	perm := r.Perm(len(infraServices))
-	var out []websim.Resource
 	for _, i := range perm[:n] {
 		svc := infraServices[i]
 		typ := "css"
@@ -185,20 +219,23 @@ func infraResources(r *rand.Rand) []websim.Resource {
 		} else if strings.HasPrefix(svc.Hostname, "cdn") || strings.HasPrefix(svc.Hostname, "tiles") {
 			typ = "script"
 		}
-		out = append(out, websim.Resource{URL: "https://" + svc.Hostname + "/lib", Type: typ})
+		dst = append(dst, websim.Resource{URL: "https://" + svc.Hostname + "/lib", Type: typ})
 	}
-	return out
+	return dst
 }
 
-// assembleSiteResources builds a full homepage resource set.
+// assembleSiteResources builds a full homepage resource set in a slice
+// allocated once: room for every first-party and infra asset, one
+// resource per tracker hostname (Google's collapse into one tag), and the
+// one cloaked and one exclusive-network tracker the callers may add.
 func (b *builder) assembleSiteResources(cc, domain string, nForeign, nLocal int, gov bool, r *rand.Rand) []websim.Resource {
-	res := firstPartyResources(domain, r)
-	res = append(res, infraResources(r)...)
-	var hostnames []string
-	hostnames = append(hostnames, b.pickTrackerHostnames(cc, nForeign, true, gov, r)...)
-	hostnames = append(hostnames, b.pickTrackerHostnames(cc, nLocal, false, gov, r)...)
-	res = append(res, composeTrackerResources(hostnames, b.orgOfHostname, cc+"/"+domain, r)...)
-	return res
+	res := make([]websim.Resource, 0, maxFirstPartyResources+maxInfraResources+nForeign+nLocal+2)
+	res = appendFirstPartyResources(res, domain, r)
+	res = appendInfraResources(res, r)
+	hostnames := make([]string, 0, nForeign+nLocal)
+	hostnames = b.appendTrackerHostnames(hostnames, cc, nForeign, true, gov, r)
+	hostnames = b.appendTrackerHostnames(hostnames, cc, nLocal, false, gov, r)
+	return appendTrackerResources(res, hostnames, b.orgOfHostname, cc+"/"+domain, r)
 }
 
 // sampleCount draws a clamped normal count.
@@ -329,7 +366,7 @@ func (b *builder) buildGlobalSites() error {
 				hostnames = append(hostnames, h)
 			}
 		}
-		return composeTrackerResources(hostnames, b.orgOfHostname, tag, r)
+		return appendTrackerResources(nil, hostnames, b.orgOfHostname, tag, r)
 	}
 
 	// Consumer sites of the majors embed cache-served assets by default;
@@ -349,21 +386,19 @@ func (b *builder) buildGlobalSites() error {
 	}
 	for _, g := range allGlobals {
 		r := rng.New(b.seed, "global-site", g.Domain)
-		res := firstPartyResources(g.Domain, r)
-		res = append(res, infraResources(r)...)
+		res := appendInfraResources(appendFirstPartyResources(nil, g.Domain, r), r)
 		res = append(res, ownTrackers(g.Org, 3+r.IntN(4), false, g.Domain+"/base", r)...)
 		variants := map[string][]websim.Resource{}
 		for _, cc := range geo.SourceCountryCodes() {
 			if rng.Bernoulli(r, 0.12) {
-				vres := firstPartyResources(g.Domain, r)
-				vres = append(vres, infraResources(r)...)
+				vres := appendInfraResources(appendFirstPartyResources(nil, g.Domain, r), r)
 				vres = append(vres, ownTrackers(g.Org, 1+r.IntN(3), true, g.Domain+"/"+cc, r)...)
 				variants[cc] = vres
 			}
 		}
 		if g.Domain == "youtube.com" {
 			// The Azerbaijan outlier: 32 Google tracking domains (§6.2).
-			vres := firstPartyResources(g.Domain, r)
+			vres := appendFirstPartyResources(nil, g.Domain, r)
 			vres = append(vres, ownTrackers("Google", 32, true, g.Domain+"/AZ-outlier", r)...)
 			variants["AZ"] = vres
 		}
@@ -385,7 +420,7 @@ func (b *builder) buildGlobalSites() error {
 	for _, cc := range cctldCCs {
 		domain := googleCCTLDSite[cc]
 		r := rng.New(b.seed, "global-site", domain)
-		res := firstPartyResources(domain, r)
+		res := appendFirstPartyResources(nil, domain, r)
 		res = append(res, ownTrackers("Google", 3+r.IntN(3), true, domain+"/cctld", r)...)
 		if err := register(domain, "Google", res, nil, r); err != nil {
 			return err
@@ -628,7 +663,10 @@ func (b *builder) addGeneratedSite(spec *CountrySpec, domain, category string, k
 	// Ad-slot rotation: foreign-tracking sites fill 1-2 slots per visit
 	// from a larger pool, so repeated visits surface different trackers.
 	if foreign && category != "adult" {
-		pool := b.pickTrackerHostnames(cc, 4+r.IntN(4), true, false, r)
+		pool := b.appendTrackerHostnames(nil, cc, 4+r.IntN(4), true, false, r)
+		if len(pool) > 0 {
+			site.Rotating = make([]websim.Resource, 0, len(pool))
+		}
 		for _, h := range pool {
 			site.Rotating = append(site.Rotating, websim.Resource{
 				URL: "https://" + h + "/slot.js?rot=1", Type: "script",

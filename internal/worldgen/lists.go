@@ -6,7 +6,9 @@ import (
 	"strings"
 
 	"github.com/gamma-suite/gamma/internal/filterlist"
+	"github.com/gamma-suite/gamma/internal/geo"
 	"github.com/gamma-suite/gamma/internal/geodb"
+	"github.com/gamma-suite/gamma/internal/netsim"
 	"github.com/gamma-suite/gamma/internal/rng"
 	"github.com/gamma-suite/gamma/internal/websim"
 )
@@ -222,27 +224,10 @@ func (b *builder) buildFilterLists() error {
 }
 
 // buildGeoDBs derives the IPmap-style database (with curated error cases)
-// and the reference latency tables.
+// and the reference latency tables. The commercial databases are built on
+// first use, by buildAltDBs.
 func (b *builder) buildGeoDBs() error {
 	b.world.IPMap = geodb.Build("ripe-ipmap", b.net, b.reg, geodb.DefaultBuildConfig(b.seed))
-
-	// Commercial databases answer for everything but are wrong more often —
-	// the unreliability the §4.1 literature documents. Error profiles are
-	// loosely inspired by published country-level accuracy comparisons.
-	b.world.AltDBs = map[string]*geodb.DB{
-		"maxmind-sim": geodb.Build("maxmind-sim", b.net, b.reg, geodb.BuildConfig{
-			Seed: b.seed + 1, Coverage: 1.0,
-			WrongCityProb: 0.30, WrongCountryNearProb: 0.09, WrongCountryFarProb: 0.03, NearKm: 1500,
-		}),
-		"dbip-sim": geodb.Build("dbip-sim", b.net, b.reg, geodb.BuildConfig{
-			Seed: b.seed + 2, Coverage: 1.0,
-			WrongCityProb: 0.38, WrongCountryNearProb: 0.13, WrongCountryFarProb: 0.05, NearKm: 2000,
-		}),
-		"ipinfo-sim": geodb.Build("ipinfo-sim", b.net, b.reg, geodb.BuildConfig{
-			Seed: b.seed + 3, Coverage: 0.99,
-			WrongCityProb: 0.26, WrongCountryNearProb: 0.08, WrongCountryFarProb: 0.02, NearKm: 1500,
-		}),
-	}
 
 	// Curated error, mirroring §4.1.3's worked example: a Google edge
 	// serving Pakistan is misplaced by the database into Al Fujairah (AE),
@@ -261,4 +246,25 @@ func (b *builder) buildGeoDBs() error {
 	latency := b.net.BaseRTTMs
 	b.world.RefLat = geodb.DefaultRefTables(latency, b.seed)
 	return nil
+}
+
+// buildAltDBs derives the commercial-style databases. They answer for
+// everything but are wrong more often — the unreliability the §4.1
+// literature documents. Error profiles are loosely inspired by published
+// country-level accuracy comparisons.
+func buildAltDBs(seed uint64, net *netsim.Network, reg *geo.Registry) map[string]*geodb.DB {
+	return map[string]*geodb.DB{
+		"maxmind-sim": geodb.Build("maxmind-sim", net, reg, geodb.BuildConfig{
+			Seed: seed + 1, Coverage: 1.0,
+			WrongCityProb: 0.30, WrongCountryNearProb: 0.09, WrongCountryFarProb: 0.03, NearKm: 1500,
+		}),
+		"dbip-sim": geodb.Build("dbip-sim", net, reg, geodb.BuildConfig{
+			Seed: seed + 2, Coverage: 1.0,
+			WrongCityProb: 0.38, WrongCountryNearProb: 0.13, WrongCountryFarProb: 0.05, NearKm: 2000,
+		}),
+		"ipinfo-sim": geodb.Build("ipinfo-sim", net, reg, geodb.BuildConfig{
+			Seed: seed + 3, Coverage: 0.99,
+			WrongCityProb: 0.26, WrongCountryNearProb: 0.08, WrongCountryFarProb: 0.02, NearKm: 1500,
+		}),
+	}
 }

@@ -128,24 +128,18 @@ func trackerPath(resType string) string {
 	}
 }
 
-// composeTrackerResources arranges tracker hostnames into page resources.
-// When Google's tag manager is among them, it becomes a script whose
-// children are the other Google endpoints — reproducing the chained-load
-// shape the browser records in the field. The tag (site domain + variant)
-// uniquifies the container URL, exactly like real GTM container IDs: the
-// web's chained-load index is keyed by URL, and two sites sharing a root
-// URL would otherwise leak each other's tracker chains.
-func composeTrackerResources(hostnames []string, orgOf func(string) string, tag string, r *rand.Rand) []websim.Resource {
-	var googleHosts, otherHosts []string
-	for _, h := range hostnames {
-		if orgOf(h) == "Google" {
-			googleHosts = append(googleHosts, h)
-		} else {
-			otherHosts = append(otherHosts, h)
-		}
-	}
-	var out []websim.Resource
-	types := []string{"script", "img", "xhr"}
+// trackerTypes are the resource types a tracker endpoint is fetched as.
+var trackerTypes = []string{"script", "img", "xhr"}
+
+// appendTrackerResources arranges tracker hostnames into page resources
+// appended to dst. When Google's tag manager is among them, it becomes a
+// script whose children are the other Google endpoints — reproducing the
+// chained-load shape the browser records in the field. The tag (site
+// domain + variant) uniquifies the container URL, exactly like real GTM
+// container IDs: the web's chained-load index is keyed by URL, and two
+// sites sharing a root URL would otherwise leak each other's tracker
+// chains.
+func appendTrackerResources(dst []websim.Resource, hostnames []string, orgOf func(string) string, tag string, r *rand.Rand) []websim.Resource {
 	cookiesFor := func(h string) []string {
 		// Most tracking endpoints set an identifier cookie, some a session
 		// cookie too — the mechanism third-party-cookie studies count.
@@ -158,27 +152,48 @@ func composeTrackerResources(hostnames []string, orgOf func(string) string, tag 
 		}
 		return nil
 	}
-	if len(googleHosts) > 0 {
-		root := websim.Resource{
-			URL:     fmt.Sprintf("https://%s/gtm.js?id=GTM-%08X", googleHosts[0], rng.Hash("gtm-container", tag)&0xffffffff),
-			Type:    "script",
-			Cookies: cookiesFor(googleHosts[0]),
+	nGoogle := 0
+	for _, h := range hostnames {
+		if orgOf(h) == "Google" {
+			nGoogle++
 		}
-		for _, h := range googleHosts[1:] {
-			typ := types[r.IntN(len(types))]
+	}
+	if nGoogle > 0 {
+		// The first Google hostname carries the tag; the rest load as its
+		// children, in order.
+		var root websim.Resource
+		for _, h := range hostnames {
+			if orgOf(h) != "Google" {
+				continue
+			}
+			if root.URL == "" {
+				root = websim.Resource{
+					URL:     fmt.Sprintf("https://%s/gtm.js?id=GTM-%08X", h, rng.Hash("gtm-container", tag)&0xffffffff),
+					Type:    "script",
+					Cookies: cookiesFor(h),
+				}
+				if nGoogle > 1 {
+					root.Children = make([]websim.Resource, 0, nGoogle-1)
+				}
+				continue
+			}
+			typ := trackerTypes[r.IntN(len(trackerTypes))]
 			root.Children = append(root.Children, websim.Resource{
 				URL: "https://" + h + trackerPath(typ), Type: typ, Cookies: cookiesFor(h),
 			})
 		}
-		out = append(out, root)
+		dst = append(dst, root)
 	}
-	for _, h := range otherHosts {
-		typ := types[r.IntN(len(types))]
-		out = append(out, websim.Resource{
+	for _, h := range hostnames {
+		if orgOf(h) == "Google" {
+			continue
+		}
+		typ := trackerTypes[r.IntN(len(trackerTypes))]
+		dst = append(dst, websim.Resource{
 			URL: "https://" + h + trackerPath(typ), Type: typ, Cookies: cookiesFor(h),
 		})
 	}
-	return out
+	return dst
 }
 
 // shortOrg produces a compact lowercase cookie-name fragment for an org.

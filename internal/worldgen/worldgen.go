@@ -17,6 +17,7 @@ import (
 	"net/netip"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"github.com/gamma-suite/gamma/internal/atlas"
@@ -67,13 +68,10 @@ type World struct {
 	IPMap    *geodb.DB
 	RefLat   *geodb.RefTable
 	Orgs     *trackerdb.DB
-	// TLS holds every host's TLS deployment, probed by the optional C3
-	// security scans (§3: Nmap/testssl-style probes).
-	TLS *tlsprobe.Registry
-	// AltDBs are commercial-style geolocation databases with different
-	// coverage/error profiles (§4.1 cites studies showing they are not
-	// fully reliable); used by the database-comparison experiment.
-	AltDBs map[string]*geodb.DB
+	// tls and altDBs are the parts no default study reads; TLS and AltDBs
+	// build them on first use.
+	tls    lazy[*tlsprobe.Registry]
+	altDBs lazy[map[string]*geodb.DB]
 
 	// Pages is the study-wide parsed-homepage memo every volunteer's
 	// browser shares (nil when built with Options.DisableCaches).
@@ -114,6 +112,36 @@ type World struct {
 
 // SourceCountries returns the 23 measurement countries in stable order.
 func (w *World) SourceCountries() []string { return geo.SourceCountryCodes() }
+
+// TLS returns every host's TLS deployment, probed by the optional C3
+// security scans (§3: Nmap/testssl-style probes). The first call builds it;
+// a study without those scans never does.
+func (w *World) TLS() *tlsprobe.Registry { return w.tls.get() }
+
+// AltDBs returns the commercial-style geolocation databases, whose
+// coverage and error profiles differ from IPMap's (§4.1 cites studies
+// showing they are not fully reliable); the database-comparison experiment
+// reads them. The first call builds them.
+func (w *World) AltDBs() map[string]*geodb.DB { return w.altDBs.get() }
+
+// lazy is a world part built on first use, once, however many goroutines
+// ask. build captures only what the part is derived from, never the
+// builder, so a world kept for serving does not keep the build's memos.
+type lazy[T any] struct {
+	once  sync.Once
+	build func() T
+	v     T
+}
+
+func (l *lazy[T]) get() T {
+	l.once.Do(func() {
+		if l.build != nil {
+			l.v = l.build()
+			l.build = nil
+		}
+	})
+	return l.v
+}
 
 // orgRuntime carries per-org build state.
 type orgRuntime struct {
@@ -211,6 +239,9 @@ type builder struct {
 	// suffices. Site generation queries the same few hundred combinations
 	// tens of thousands of times.
 	matchMemo map[matchKey][]string
+	// candMemo caches trackerCandidates per (country, locality, gov), on
+	// the same frozen inputs as matchMemo.
+	candMemo map[candKey]trackerCands
 }
 
 // matchKey identifies one matchingHostnames result.
@@ -298,14 +329,29 @@ func BuildWithOptions(seed uint64, opts Options) (*World, error) {
 		b.buildRankings,
 		b.buildFilterLists,
 		b.buildGeoDBs,
-		b.buildTLS,
 	}
 	for _, step := range steps {
 		if err := step(); err != nil {
 			return nil, err
 		}
 	}
+	b.deferOptionalParts()
 	return b.world, nil
+}
+
+// deferOptionalParts sets up the parts only opt-in paths read — the TLS
+// deployments and the commercial geolocation databases — to be built on
+// first use. Both are drawn from keyed RNG streams over the finished
+// network, so building them later yields the same bytes as building them
+// here.
+func (b *builder) deferOptionalParts() {
+	seed, net, reg := b.seed, b.net, b.reg
+	orgDomains := make(map[string][]string, len(b.orgRTs))
+	for _, rt := range b.orgRTs {
+		orgDomains[rt.spec.Name] = rt.spec.Domains
+	}
+	b.world.tls.build = func() *tlsprobe.Registry { return buildTLS(seed, net, orgDomains) }
+	b.world.altDBs.build = func() map[string]*geodb.DB { return buildAltDBs(seed, net, reg) }
 }
 
 func (b *builder) buildCloudASes() error {
@@ -745,20 +791,20 @@ func (b *builder) buildHostingPools() error {
 // buildTLS assigns a TLS deployment to every host: organization edges run
 // modern stacks, infra CDNs modern-to-dated, shared web hosting uses
 // SNI-issued certificates with mixed maintenance, and a tail of servers is
-// plainly neglected.
-func (b *builder) buildTLS() error {
+// plainly neglected. orgDomains maps each tracker org to its base domains.
+func buildTLS(seed uint64, net *netsim.Network, orgDomains map[string][]string) *tlsprobe.Registry {
 	reg := tlsprobe.NewRegistry()
 	now := studyDate()
-	for _, h := range b.net.Hosts() {
-		r := rng.New(b.seed, "tls-profile", h.Addr.String())
-		as, _ := b.net.ASByNumber(h.ASN)
+	for _, h := range net.Hosts() {
+		r := rng.New(seed, "tls-profile", h.Addr.String())
+		as, _ := net.ASByNumber(h.ASN)
 		var profile tlsprobe.Profile
 		sni := false
 		subject := "edge.invalid"
 		switch {
 		case h.ASN == awsASN || h.ASN == gcpASN || h.ASN == 15169 || h.ASN == 32934 || h.ASN == 13414:
 			profile = tlsprobe.ProfileModern
-			subject = hostSubject(b, h.Addr, as)
+			subject = hostSubject(orgDomains, as)
 		case strings.HasPrefix(as.Name, "WEBHOST-"):
 			sni = true
 			if rng.Bernoulli(r, 0.25) {
@@ -775,27 +821,24 @@ func (b *builder) buildTLS() error {
 			if rng.Bernoulli(r, 0.3) {
 				profile = tlsprobe.ProfileDated
 			}
-			subject = hostSubject(b, h.Addr, as)
+			subject = hostSubject(orgDomains, as)
 		}
-		d := tlsprobe.GenerateDeployment(b.seed, h.Addr, subject, profile, now)
+		d := tlsprobe.GenerateDeployment(seed, h.Addr, subject, profile, now)
 		d.SNICert = sni
-		if rt, ok := b.byOrg[as.Org]; ok {
-			for _, base := range rt.spec.Domains {
-				d.Cert.SANs = append(d.Cert.SANs, base, "*."+base)
-			}
+		for _, base := range orgDomains[as.Org] {
+			d.Cert.SANs = append(d.Cert.SANs, base, "*."+base)
 		}
 		reg.Set(d)
 	}
-	b.world.TLS = reg
-	return nil
+	return reg
 }
 
 // hostSubject picks the certificate subject for an org-operated host: the
 // org's primary domain with a wildcard SAN, which covers all its endpoint
 // hostnames.
-func hostSubject(b *builder, addr netip.Addr, as netsim.AS) string {
-	if rt, ok := b.byOrg[as.Org]; ok && len(rt.spec.Domains) > 0 {
-		return rt.spec.Domains[0]
+func hostSubject(orgDomains map[string][]string, as netsim.AS) string {
+	if domains := orgDomains[as.Org]; len(domains) > 0 {
+		return domains[0]
 	}
 	return strings.ToLower(as.Name) + ".example"
 }

@@ -38,11 +38,12 @@ func EnableSecurityProbes(w *World, cc string, env *core.Env, cfg *core.Config) 
 	if !ok {
 		return fmt.Errorf("gamma: no volunteer in %s", cc)
 	}
-	if w.TLS == nil {
+	tls := w.TLS()
+	if tls == nil {
 		return fmt.Errorf("gamma: world has no TLS deployments")
 	}
 	env.TLS = simTLSProber{
-		scanner: tlsprobe.NewScanner(w.TLS, time.Date(2024, 3, 16, 0, 0, 0, 0, time.UTC)),
+		scanner: tlsprobe.NewScanner(tls, time.Date(2024, 3, 16, 0, 0, 0, 0, time.UTC)),
 	}
 	env.Pinger = simPinger{net: w.Net, vantageID: vol.VantageID}
 	cfg.TLSScanEnabled = true

@@ -111,7 +111,7 @@ type DBAccuracy struct {
 // §4.1 reliability comparison the geolocation literature performs.
 func CompareGeoDBs(w *World) []DBAccuracy {
 	dbs := map[string]*geodb.DB{w.IPMap.Name(): w.IPMap}
-	for name, db := range w.AltDBs {
+	for name, db := range w.AltDBs() {
 		dbs[name] = db
 	}
 	hosts := w.Net.Hosts()

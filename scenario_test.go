@@ -88,7 +88,7 @@ func TestClassifyWithDBFlips(t *testing.T) {
 			break
 		}
 	}
-	flips := gamma.ClassifyWithDB(w, "PK", w.AltDBs["dbip-sim"], addrs)
+	flips := gamma.ClassifyWithDB(w, "PK", w.AltDBs()["dbip-sim"], addrs)
 	if flips == 0 {
 		t.Error("switching provider should flip some local/non-local verdicts")
 	}

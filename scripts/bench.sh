@@ -3,9 +3,9 @@
 #
 # Runs the filterlist matching-engine benchmarks (hit, miss, bare-hostname
 # probe, index build, parse), the pipeline's parallel-analysis benchmark,
-# the dataset loader, and the serving layer's hot-path benchmarks with
-# -benchtime=1x -count=1: fast enough for CI, and a compile+run check that
-# every benchmark still works. Real before/after numbers are collected with
+# the dataset loader, the world build, and the serving layer's hot-path
+# benchmarks with -benchtime=1x -count=1: fast enough for CI, and a
+# compile+run check that every benchmark still works. Real before/after numbers are collected with
 # longer benchtimes and recorded in BENCH_*.json.
 set -eu
 cd "$(dirname "$0")/.."
@@ -32,5 +32,7 @@ go test -run '^$' -bench 'BenchmarkRenderParse' \
 # study's 23 datasets saved as .json.gz.
 go test -run '^$' -bench 'BenchmarkLoadDataset' \
 	-benchmem -benchtime=1x -count=1 ./internal/core/
-go test -run '^$' -bench 'BenchmarkRunStudyEndToEnd' \
+# The study end to end, and the world build every study and reload
+# starts with.
+go test -run '^$' -bench 'BenchmarkRunStudyEndToEnd|BenchmarkWorldBuild' \
 	-benchmem -benchtime=1x -count=1 .
